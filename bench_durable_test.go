@@ -2,23 +2,25 @@ package dpstore
 
 // Closed-loop durability benchmarks: C goroutine clients issue
 // back-to-back WriteBatch calls (no think time) against one disk-backed
-// store, comparing three durability disciplines on identical hardware:
+// store, comparing three durability disciplines of store.Durable on
+// identical hardware:
 //
-//   - file:       the non-durable store.File baseline (no fsync, no
-//                 checksums, no WAL) — the throughput ceiling;
-//   - walSyncEach: store.Durable with SyncEach — one fsync per
-//                 WriteBatch, the naive durable discipline;
-//   - walGroup:   store.Durable with SyncGroup (the default) — all
-//                 writers waiting during a flush share the next fsync,
-//                 amortizing durability exactly the way the batch
-//                 transport amortizes round trips.
+//   - walSyncNone: SyncNone — the log is written but never fsynced on the
+//                  write path, the no-fsync reference on the same engine
+//                  and the throughput ceiling;
+//   - walSyncEach: SyncEach — one fsync per WriteBatch, the naive
+//                  durable discipline;
+//   - walGroup:    SyncGroup (the default) — all writers waiting during a
+//                  flush share the next fsync, amortizing durability
+//                  exactly the way the batch transport amortizes round
+//                  trips.
 //
 // The paper's schemes bound the WORK per access; this table bounds the
 // durability overhead factor on top of it. Group commit's advantage grows
 // with client count (more writers share each fsync), which is the
 // production shape: the daemon serves many tenants concurrently. Numbers
 // are recorded in EXPERIMENTS.md §Durability; the acceptance bar is
-// group-commit ≥ 0.5× the non-durable File throughput at 16 clients.
+// group-commit ≥ 0.5× the no-fsync throughput at 16 clients.
 
 import (
 	"fmt"
@@ -77,37 +79,29 @@ func durBackends() []struct {
 	name string
 	open func(b *testing.B) store.BatchServer
 } {
+	open := func(mode store.SyncMode) func(b *testing.B) store.BatchServer {
+		return func(b *testing.B) store.BatchServer { return openBenchDurable(b, durSlots, mode) }
+	}
 	return []struct {
 		name string
 		open func(b *testing.B) store.BatchServer
 	}{
-		{"file", func(b *testing.B) store.BatchServer {
-			f, err := store.CreateFile(filepath.Join(b.TempDir(), "blocks.dat"), durSlots, durBlockSize)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { f.Close() })
-			return f
-		}},
-		{"walSyncEach", func(b *testing.B) store.BatchServer {
-			d, err := store.CreateDurable(filepath.Join(b.TempDir(), "blocks"), durSlots, durBlockSize,
-				store.DurableOptions{Sync: store.SyncEach})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { d.Close() })
-			return d
-		}},
-		{"walGroup", func(b *testing.B) store.BatchServer {
-			d, err := store.CreateDurable(filepath.Join(b.TempDir(), "blocks"), durSlots, durBlockSize,
-				store.DurableOptions{Sync: store.SyncGroup})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { d.Close() })
-			return d
-		}},
+		{"walSyncNone", open(store.SyncNone)},
+		{"walSyncEach", open(store.SyncEach)},
+		{"walGroup", open(store.SyncGroup)},
 	}
+}
+
+// openBenchDurable creates an n × durBlockSize Durable store in a
+// benchmark temp dir, closed at cleanup.
+func openBenchDurable(b *testing.B, n int, mode store.SyncMode) *store.Durable {
+	d, err := store.CreateDurable(filepath.Join(b.TempDir(), "blocks"), n, durBlockSize,
+		store.DurableOptions{Sync: mode})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { d.Close() })
+	return d
 }
 
 // BenchmarkDurableWrite is the 8-op-batch (per-query write set) closed
@@ -127,8 +121,8 @@ func BenchmarkDurableWrite(b *testing.B) {
 // BenchmarkDurableWriteBatched holds clients at 16 and scales the batch —
 // the shape the proxy's write-behind Pipeline produces, which coalesces
 // queued evictions into one WriteBatch of up to its coalesce cap (1024
-// ops). This is where the engine's durability overhead factor vs the
-// non-durable File is judged: the group-commit sync amortizes over
+// ops). This is where the engine's durability overhead factor vs its
+// no-fsync reference is judged: the group-commit sync amortizes over
 // clients × batch blocks.
 func BenchmarkDurableWriteBatched(b *testing.B) {
 	b.ReportAllocs()
@@ -142,41 +136,22 @@ func BenchmarkDurableWriteBatched(b *testing.B) {
 	}
 }
 
-// BenchmarkDurableRead measures the checksummed read path against the raw
-// File read path (CRC verification is the only extra work; no WAL
-// involvement on reads).
+// BenchmarkDurableRead measures the checksummed page read path: sorted
+// run coalescing plus CRC verification (no WAL involvement on reads).
 func BenchmarkDurableRead(b *testing.B) {
-	b.ReportAllocs()
-	for _, be := range []string{"file", "wal"} {
-		b.Run(be, func(b *testing.B) {
-			b.ReportAllocs()
-			var srv store.BatchServer
-			if be == "file" {
-				f, err := store.CreateFile(filepath.Join(b.TempDir(), "blocks.dat"), durSlots, durBlockSize)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Cleanup(func() { f.Close() })
-				srv = f
-			} else {
-				d, err := store.CreateDurable(filepath.Join(b.TempDir(), "blocks"), durSlots, durBlockSize, store.DurableOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Cleanup(func() { d.Close() })
-				srv = d
+	b.Run("wal", func(b *testing.B) {
+		b.ReportAllocs()
+		srv := openBenchDurable(b, durSlots, store.SyncGroup)
+		rnd := rand.New(rand.NewSource(1))
+		addrs := make([]int, 8)
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			for i := range addrs {
+				addrs[i] = rnd.Intn(durSlots)
 			}
-			rnd := rand.New(rand.NewSource(1))
-			addrs := make([]int, 8)
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				for i := range addrs {
-					addrs[i] = rnd.Intn(durSlots)
-				}
-				if _, err := srv.ReadBatch(addrs); err != nil {
-					b.Fatal(err)
-				}
+			if _, err := srv.ReadBatch(addrs); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }

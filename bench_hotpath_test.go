@@ -13,7 +13,6 @@ package dpstore
 // allocation on either side of the loopback socket lands in allocs/op.
 
 import (
-	"os"
 	"testing"
 
 	"dpstore/internal/block"
@@ -86,15 +85,10 @@ func BenchmarkHotPathMemReadBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkHotPathFileReadBatch exercises the File run-coalescing /
-// vectored-I/O read path with a gapped, duplicated address pattern.
-func BenchmarkHotPathFileReadBatch(b *testing.B) {
-	dir := b.TempDir()
-	f, err := store.CreateFile(dir+"/hot.store", transportN, block.DefaultSize)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { os.Remove(dir + "/hot.store") })
+// BenchmarkHotPathDurableReadBatch exercises the Durable run-coalescing /
+// vectored-I/O page read path with a gapped, duplicated address pattern.
+func BenchmarkHotPathDurableReadBatch(b *testing.B) {
+	d := openBenchDurable(b, transportN, store.SyncNone)
 	addrs := make([]int, hotBatch)
 	for i := range addrs {
 		// Two runs with a gap and one duplicate inside the first run.
@@ -107,20 +101,17 @@ func BenchmarkHotPathFileReadBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.ReadBatch(addrs); err != nil {
+		if _, err := d.ReadBatch(addrs); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkHotPathFileWriteBatch exercises the File coalesced / vectored
-// write path.
-func BenchmarkHotPathFileWriteBatch(b *testing.B) {
-	dir := b.TempDir()
-	f, err := store.CreateFile(dir+"/hotw.store", transportN, block.DefaultSize)
-	if err != nil {
-		b.Fatal(err)
-	}
+// BenchmarkHotPathDurableWriteBatch exercises the Durable coalesced /
+// vectored page write path behind the log append (SyncNone, so the
+// number measures the engine, not the device's fsync).
+func BenchmarkHotPathDurableWriteBatch(b *testing.B) {
+	d := openBenchDurable(b, transportN, store.SyncNone)
 	ops := make([]store.WriteOp, hotBatch)
 	for i := range ops {
 		ops[i] = store.WriteOp{Addr: 300 + i, Block: block.Pattern(uint64(i), block.DefaultSize)}
@@ -128,7 +119,7 @@ func BenchmarkHotPathFileWriteBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := f.WriteBatch(ops); err != nil {
+		if err := d.WriteBatch(ops); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,13 +11,14 @@ package dpstore
 //     host both flatline at CPU speed — there is no parallelism to win.)
 //
 //   - diskLike: stores that charge a per-address service time while
-//     HOLDING their lock, exactly the locking discipline of store.File,
-//     whose mutex is held across ReadAt/WriteAt. This models the
-//     production deployment (disk- or network-attached shards) where the
-//     single-lock store flatlines at one device's speed regardless of
-//     client count, while K shards keep K devices busy concurrently —
-//     sleeping goroutines overlap even on one core, so the measured
-//     speedup is the deployment's, not the benchmark host's.
+//     HOLDING their lock, exactly the locking discipline of
+//     store.Durable, whose page mutex is held across each run's read or
+//     write. This models the production deployment (disk- or
+//     network-attached shards) where the single-lock store flatlines at
+//     one device's speed regardless of client count, while K shards keep
+//     K devices busy concurrently — sleeping goroutines overlap even on
+//     one core, so the measured speedup is the deployment's, not the
+//     benchmark host's.
 //
 // Numbers are recorded in EXPERIMENTS.md §Scale.
 
@@ -40,12 +41,12 @@ const (
 	scaleShards    = 16
 )
 
-// diskLike wraps a Mem with store.File's locking discipline: one mutex
+// diskLike wraps a Mem with store.Durable's locking discipline: one mutex
 // held across the whole batch's (simulated) device time, serviceTime per
 // address — the seek-per-run cost of random reads. It deliberately does
 // NOT implement BatchServer beyond charging per address, so a batch of B
-// random addresses holds the lock for B·serviceTime, as a coalesced File
-// batch of B single-block runs would.
+// random addresses holds the lock for B·serviceTime, as a coalesced Durable
+// batch of B single-page runs would.
 type diskLike struct {
 	mu          sync.Mutex
 	inner       *store.Mem

@@ -36,8 +36,8 @@
 //     different partitions, trading a bounded extra leak (the partition
 //     index, a data-independent function of the logical address) for
 //     near-linear throughput in P. All partitions share ONE physical
-//     backing store (windowed by store.Offset), so -file/-data/-shards/
-//     -replicate compose unchanged. With -data, partition i checkpoints
+//     backing store (windowed by store.Offset), so -data/-shards/-replicate
+//     compose unchanged. With -data, partition i checkpoints
 //     to DIR/proxy.p<i>.journal and the striping width is persisted in
 //     DIR/namespaces.json — a restart with a different -partitions (or
 //     scheme, or logical shape) is refused rather than permuting the
@@ -69,7 +69,6 @@
 // Usage:
 //
 //	blockstored -addr :9045 -slots 65536 -blocksize 112
-//	blockstored -addr :9045 -slots 65536 -blocksize 112 -file /var/lib/blocks.dat
 //	blockstored -addr :9045 -slots 65536 -blocksize 112 -data /var/lib/dpstore -shards 16 -namespaces 64
 //	blockstored -addr :9045 -slots 4096 -blocksize 64 -proxy dpram -data /var/lib/dpstore
 //	blockstored -addr :9040 -replicate 127.0.0.1:9041,127.0.0.1:9042,127.0.0.1:9043 -quorum 2
@@ -110,7 +109,6 @@ func main() {
 		addr        = flag.String("addr", "127.0.0.1:9045", "listen address")
 		slots       = flag.Int("slots", 1<<16, "number of block slots (default namespace, and default for created namespaces)")
 		blockSize   = flag.Int("blocksize", 112, "slot size in bytes (default namespace, and default for created namespaces)")
-		file        = flag.String("file", "", "optional path for a non-durable disk-backed store (created if missing; with -shards K, K files path.shard0 … are used)")
 		dataDir     = flag.String("data", "", "durable data directory: stores run on the crash-safe WAL engine, namespaces persist, -proxy state checkpoints, and restarts recover")
 		shards      = flag.Int("shards", 1, "stripe each store over this many independently locked sub-stores")
 		namespaces  = flag.Int("namespaces", 0, "max client-created namespaces (0 disables the open-to-create path)")
@@ -155,12 +153,9 @@ func main() {
 	if *partitions > 1 && *proxyMode == "" {
 		log.Fatalf("blockstored: -partitions stripes scheme instances and needs -proxy (block namespaces stripe with -shards)")
 	}
-	if *file != "" && *dataDir != "" {
-		log.Fatalf("blockstored: -file and -data are mutually exclusive (-data subsumes the disk backend, durably)")
-	}
 	explicit := explicitFlags()
-	if *replicate != "" && (*file != "" || *dataDir != "" || *shards != 1 || *namespaces != 0 || explicit["maxbytes"]) {
-		log.Fatalf("blockstored: -replicate is a front door over remote replicas; -file/-data/-shards/-namespaces/-maxbytes belong on the replica daemons")
+	if *replicate != "" && (*dataDir != "" || *shards != 1 || *namespaces != 0 || explicit["maxbytes"]) {
+		log.Fatalf("blockstored: -replicate is a front door over remote replicas; -data/-shards/-namespaces/-maxbytes belong on the replica daemons")
 	}
 	if *replicate == "" && (*quorum != 0 || *readPolicy != "sticky") {
 		log.Fatalf("blockstored: -quorum and -readpolicy only apply with -replicate")
@@ -183,8 +178,6 @@ func main() {
 		if err := os.MkdirAll(*dataDir, 0o755); err != nil {
 			log.Fatalf("blockstored: creating -data dir: %v", err)
 		}
-	}
-	if *file != "" || *dataDir != "" {
 		// Surface which run-I/O path this build uses (see DESIGN.md
 		// §HotPath's fallback matrix) so recorded numbers are attributable.
 		log.Printf("blockstored: vectored run I/O: %v", store.VectoredIO())
@@ -212,7 +205,7 @@ func main() {
 	}
 
 	if *proxyMode != "" {
-		p, desc, err := openProxy(*proxyMode, *file, *dataDir, *replicate, *quorum, *readPolicy, *slots, *blockSize, *partitions, *shards, *seed, &sd)
+		p, desc, err := openProxy(*proxyMode, *dataDir, *replicate, *quorum, *readPolicy, *slots, *blockSize, *partitions, *shards, *seed, &sd)
 		if err != nil {
 			log.Fatalf("blockstored: %v", err)
 		}
@@ -245,7 +238,7 @@ func main() {
 		return
 	}
 
-	backing, desc, err := openBackingAny(*file, *dataDir, *slots, *blockSize, *shards, &sd)
+	backing, desc, err := openBackingAny(*dataDir, *slots, *blockSize, *shards, &sd)
 	if err != nil {
 		log.Fatalf("blockstored: %v", err)
 	}
@@ -720,16 +713,16 @@ func openCluster(replicate string, quorum int, readPolicy string, seed int64, wa
 		cluster.Size(), cluster.BlockSize(), len(addrs), cluster.Quorum(), readPolicy), nil
 }
 
-// openBackingAny dispatches between the three backend families: memory,
-// non-durable file (-file), durable engine (-data).
-func openBackingAny(file, dataDir string, slots, blockSize, shards int, sd *shutdown) (store.Server, string, error) {
+// openBackingAny dispatches between the two backend families: memory and
+// the durable engine (-data).
+func openBackingAny(dataDir string, slots, blockSize, shards int, sd *shutdown) (store.Server, string, error) {
 	if dataDir != "" {
 		if slots < shards {
 			return nil, "", fmt.Errorf("%d slots cannot stripe over %d shards", slots, shards)
 		}
 		return openDurableBacking(filepath.Join(dataDir, "blocks"), slots, blockSize, shards, sd)
 	}
-	return openBacking(file, slots, blockSize, shards)
+	return openBacking(slots, blockSize, shards)
 }
 
 // openDurableBacking opens (or creates) a crash-safe store on the WAL
@@ -777,45 +770,18 @@ func openDurableBacking(base string, slots, blockSize, shards int, sd *shutdown)
 	return s, fmt.Sprintf("%d slots × %d B durable (WAL engine) striped over %d shards at %s.shard*", slots, blockSize, shards, base), nil
 }
 
-// openBacking builds a memory or -file backed store (the non-durable
-// families, unchanged from the pre-engine daemon).
-func openBacking(file string, slots, blockSize, shards int) (store.Server, string, error) {
-	if file == "" {
-		// The operator asked for this exact stripe width; refuse rather
-		// than silently downgrade (mirrors the disk path below).
-		if slots < shards {
-			return nil, "", fmt.Errorf("%d slots cannot stripe over %d shards", slots, shards)
-		}
-		s, err := newMemBacking(slots, blockSize, shards)
-		if err != nil {
-			return nil, "", err
-		}
-		return s, fmt.Sprintf("%d slots × %d B in memory (%d shard(s))", slots, blockSize, shards), nil
-	}
-	if shards == 1 {
-		f, err := openOrCreate(file, slots, blockSize)
-		if err != nil {
-			return nil, "", err
-		}
-		return f, fmt.Sprintf("%d slots × %d B on disk at %s", slots, blockSize, file), nil
-	}
+// openBacking builds the in-memory store (the non-durable family).
+func openBacking(slots, blockSize, shards int) (store.Server, string, error) {
+	// The operator asked for this exact stripe width; refuse rather than
+	// silently downgrade (mirrors the durable path).
 	if slots < shards {
 		return nil, "", fmt.Errorf("%d slots cannot stripe over %d shards", slots, shards)
 	}
-	subs := make([]store.Server, shards)
-	for i := range subs {
-		path := fmt.Sprintf("%s.shard%d", file, i)
-		f, err := openOrCreate(path, store.ShardSlots(slots, shards, i), blockSize)
-		if err != nil {
-			return nil, "", err
-		}
-		subs[i] = f
-	}
-	s, err := store.NewSharded(subs)
+	s, err := newMemBacking(slots, blockSize, shards)
 	if err != nil {
 		return nil, "", err
 	}
-	return s, fmt.Sprintf("%d slots × %d B on disk striped over %d files at %s.shard*", slots, blockSize, shards, file), nil
+	return s, fmt.Sprintf("%d slots × %d B in memory (%d shard(s))", slots, blockSize, shards), nil
 }
 
 // proxyFront is what main needs from a -proxy deployment: the accessor
@@ -829,7 +795,7 @@ type proxyFront interface {
 }
 
 // openProxy builds the -proxy deployment: the scheme's physical store
-// derived from the logical shape (memory, -file, the durable engine, or a
+// derived from the logical shape (memory, the durable engine, or a
 // replica cluster), a write-behind pipeline underneath, and the proxy
 // scheduler on top.
 //
@@ -848,7 +814,7 @@ type proxyFront interface {
 // directory runs Setup and seeds each journal with the initial
 // checkpoint. The deployment shape (scheme, logical shape, P) persists in
 // namespaces.json; a restart with disagreeing flags is refused.
-func openProxy(mode, file, dataDir, replicate string, quorum int, readPolicy string, records, recordSize, partitions, shards int, seed int64, sd *shutdown) (proxyFront, string, error) {
+func openProxy(mode, dataDir, replicate string, quorum int, readPolicy string, records, recordSize, partitions, shards int, seed int64, sd *shutdown) (proxyFront, string, error) {
 	if partitions > records {
 		return nil, "", fmt.Errorf("%d records cannot stripe over %d partitions", records, partitions)
 	}
@@ -908,7 +874,7 @@ func openProxy(mode, file, dataDir, replicate string, quorum int, readPolicy str
 		// Scheme client state is ephemeral here.
 		backing, desc, err = openCluster(replicate, quorum, readPolicy, seed, totalSlots, physBS, sd)
 	case dataDir == "":
-		backing, desc, err = openBacking(file, totalSlots, physBS, shards)
+		backing, desc, err = openBacking(totalSlots, physBS, shards)
 	default:
 		backing, desc, err = openDurableBacking(filepath.Join(dataDir, "blocks"), totalSlots, physBS, shards, sd)
 	}
@@ -1110,19 +1076,4 @@ func setupScheme(mode string, records, recordSize int, server store.Server, ramO
 		return o, nil
 	}
 	return nil, fmt.Errorf("unknown scheme %q", mode)
-}
-
-func openOrCreate(path string, slots, blockSize int) (*store.File, error) {
-	if _, err := os.Stat(path); err == nil {
-		f, err := store.OpenFile(path, slots, blockSize)
-		if err != nil {
-			return nil, fmt.Errorf("opening existing store: %w", err)
-		}
-		return f, nil
-	}
-	f, err := store.CreateFile(path, slots, blockSize)
-	if err != nil {
-		return nil, fmt.Errorf("creating store: %w", err)
-	}
-	return f, nil
 }

@@ -2,8 +2,6 @@ package main
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -63,27 +61,17 @@ func TestNewMemBackingClampsShards(t *testing.T) {
 }
 
 // TestOpenBackingShapes covers the flag-validation matrix of the default
-// namespace, including the sharded file layout.
+// namespace's memory backing.
 func TestOpenBackingShapes(t *testing.T) {
 	// The operator's explicit -shards must not silently downgrade.
-	if _, _, err := openBacking("", 4, 16, 8); err == nil {
+	if _, _, err := openBacking(4, 16, 8); err == nil {
 		t.Error("mem: 4 slots over 8 shards accepted")
 	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "blocks.dat")
-	if _, _, err := openBacking(path, 4, 16, 8); err == nil {
-		t.Error("file: 4 slots over 8 shards accepted")
-	}
-	s, desc, err := openBacking(path, 10, 16, 4)
+	s, desc, err := openBacking(10, 16, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Size() != 10 || s.BlockSize() != 16 {
-		t.Fatalf("sharded file store shape = %d × %d (%s)", s.Size(), s.BlockSize(), desc)
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := os.Stat(path + ".shard" + string(rune('0'+i))); err != nil {
-			t.Errorf("missing shard file %d: %v", i, err)
-		}
+		t.Fatalf("sharded mem store shape = %d × %d (%s)", s.Size(), s.BlockSize(), desc)
 	}
 }

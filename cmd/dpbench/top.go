@@ -1,6 +1,5 @@
 // The top subcommand: a live per-namespace view of a running daemon,
-// polled over the wire protocol's stats frame (v2 when the daemon speaks
-// it, degrading to v1 fields against older daemons).
+// polled over the wire protocol's stats frame.
 //
 //	dpbench top                                   # watch 127.0.0.1:9045
 //	dpbench top -addr 10.0.0.5:9045 -interval 2s
@@ -8,8 +7,8 @@
 //
 // Each refresh renders one row per namespace: accepted/shed totals, the
 // acceptance rate since the previous refresh, live inflight/queue gauges,
-// service-time p50/p99 and max (whole-microsecond quantiles from the v2
-// extension; dashes against a v1 daemon), the backing depth gauge (proxy
+// service-time p50/p99 and max (whole-microsecond quantiles; dashes for a
+// namespace that has served nothing yet), the backing depth gauge (proxy
 // stash occupancy or resync backlog), and the WAL's EWMA fsync latency.
 // Everything shown is a data-independent aggregate — the same rule the
 // daemon's /metrics endpoint obeys — so leaving top running against a
@@ -119,8 +118,8 @@ func renderTop(w io.Writer, prev, cur []wire.StatsEntry, elapsed time.Duration) 
 }
 
 // topMicros renders a whole-microsecond latency, or a dash when the
-// gate (typically the v2 Requests count) is zero — against a v1 daemon
-// every extension field is zero and dashes beat misleading "0s" cells.
+// gate (typically the Requests count) is zero — an idle namespace has no
+// quantiles yet, and dashes beat misleading "0s" cells.
 func topMicros(micros, gate uint64) string {
 	if gate == 0 {
 		return "-"

@@ -24,8 +24,8 @@ func (f *fakeSource) Stats() ([]wire.StatsEntry, error) {
 }
 
 // TestRenderTop: the renderer derives the acceptance rate from
-// consecutive snapshots, renders v2 quantiles as durations, and dashes
-// out extension fields a v1 daemon never sent.
+// consecutive snapshots, renders quantiles as durations, and dashes out
+// the quantiles of a namespace that has served nothing yet.
 func TestRenderTop(t *testing.T) {
 	prev := []wire.StatsEntry{{Name: "default", Accepted: 100}}
 	cur := []wire.StatsEntry{
@@ -35,7 +35,7 @@ func TestRenderTop(t *testing.T) {
 			Requests: 300, P50Micros: 1500, P99Micros: 9000, MaxMicros: 12000,
 			SyncMicros: 250,
 		},
-		{Name: "v1-tenant", Accepted: 5}, // all extension fields zero
+		{Name: "idle-tenant", Accepted: 5}, // all quantile fields zero
 	}
 	var sb strings.Builder
 	renderTop(&sb, prev, cur, 2*time.Second)
@@ -57,10 +57,10 @@ func TestRenderTop(t *testing.T) {
 			t.Fatalf("row missing %q: %q", want, row)
 		}
 	}
-	// The v1 tenant has no previous snapshot and no extension fields:
-	// rate and quantiles dash out rather than showing zeros.
+	// The idle tenant has no previous snapshot and no quantiles: rate and
+	// quantiles dash out rather than showing zeros.
 	if got := strings.Count(lines[2], "-"); got < 5 {
-		t.Fatalf("v1 row should dash out rate+p50+p99+max+sync, got %d dashes: %q", got, lines[2])
+		t.Fatalf("idle row should dash out rate+p50+p99+max+sync, got %d dashes: %q", got, lines[2])
 	}
 }
 
@@ -91,7 +91,7 @@ func TestTopLoopPlain(t *testing.T) {
 }
 
 // TestTopSmoke: `dpbench top` against an in-process daemon — the full
-// binary path: dial, v2 stats round trip, render, exit 0 after -n
+// binary path: dial, stats round trip, render, exit 0 after -n
 // refreshes.
 func TestTopSmoke(t *testing.T) {
 	if testing.Short() {

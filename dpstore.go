@@ -210,13 +210,13 @@ func CreateDurableServer(base string, n, blockSize int, opts DurableServerOption
 }
 
 // OpenDurableServer opens an existing durable store, replaying its
-// write-ahead log; a legacy headerless File-format store of the same
-// shape is migrated to the engine format in place.
+// write-ahead log.
 func OpenDurableServer(base string, n, blockSize int, opts DurableServerOptions) (*DurableServer, error) {
 	return store.OpenDurable(base, n, blockSize, opts)
 }
 
-// OpenOrCreateDurableServer opens base if present, creates it otherwise.
+// OpenOrCreateDurableServer opens base if <base>.pages exists and creates
+// it otherwise.
 func OpenOrCreateDurableServer(base string, n, blockSize int, opts DurableServerOptions) (*DurableServer, error) {
 	return store.OpenOrCreateDurable(base, n, blockSize, opts)
 }

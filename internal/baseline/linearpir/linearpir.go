@@ -32,7 +32,7 @@ func NewTrivial(server store.Server) *Trivial {
 
 // Query downloads every record in batched scan windows and keeps record q.
 // The access pattern is identical for every query, giving obliviousness
-// (ε = 0, δ = 0); on a File-backed server each window becomes one
+// (ε = 0, δ = 0); on a Durable-backed server each window becomes one
 // sequential read, and client memory stays O(ScanWindow) at any n.
 func (t *Trivial) Query(q int) (block.Block, error) {
 	if q < 0 || q >= t.n {

@@ -87,8 +87,8 @@ func dial(addr, name string) (*Client, error) {
 func (c *Client) Epoch() uint64 { return c.epoch }
 
 // Partitions returns the scheme-partition count the daemon reported in
-// the handshake (1 for an unpartitioned proxy, 0 for a pre-partition
-// daemon making no claim). Purely informational for clients — routing is
+// the handshake (1 for an unpartitioned proxy, 0 for a namespace making
+// no claim). Purely informational for clients — routing is
 // entirely server-side.
 func (c *Client) Partitions() int { return c.partitions }
 

@@ -181,8 +181,8 @@ func (l *limiter) retryHint(depth int) time.Duration {
 	return hint
 }
 
-// snapshot fills the admission half of a stats entry, including the v2
-// quantile extension (folded out of the live histograms; cold path).
+// snapshot fills the admission half of a stats entry, including the
+// quantile summary (folded out of the live histograms; cold path).
 func (l *limiter) snapshot(e *wire.StatsEntry) {
 	e.Accepted = l.accepted.Load()
 	e.Shed = l.shed.Load()

@@ -20,7 +20,7 @@ type WriteOp struct {
 // obliviousness arguments are unaffected — but it crosses the client–server
 // boundary once instead of N times. Over the wire (Remote) that collapses N
 // round trips into one; locally it amortizes lock acquisitions (Mem) and
-// coalesces disk I/O (File).
+// coalesces disk I/O (Durable).
 //
 // Addresses may repeat within a batch. ReadBatch returns independent copies
 // in request order. On error, WriteBatch may have applied a prefix of its

@@ -15,7 +15,7 @@ import (
 // natively.
 var (
 	_ BatchServer = (*Mem)(nil)
-	_ BatchServer = (*File)(nil)
+	_ BatchServer = (*Durable)(nil)
 	_ BatchServer = (*Counting)(nil)
 	_ BatchServer = (*Faulty)(nil)
 	_ BatchServer = (*Remote)(nil)
@@ -105,13 +105,21 @@ func TestMemBatchConformance(t *testing.T) {
 	exerciseBatch(t, m, 8, 32)
 }
 
-func TestFileBatchConformance(t *testing.T) {
-	f, err := CreateFile(filepath.Join(t.TempDir(), "blocks.dat"), 8, 32)
+func TestDurableBatchConformance(t *testing.T) {
+	exerciseBatch(t, newTestDurable(t, 8, 32), 8, 32)
+}
+
+// newTestDurable creates a Durable store in a test temp dir, closed at
+// cleanup. SyncNone: the coalescing tests exercise the page paths, not
+// the log's fsync discipline.
+func newTestDurable(t *testing.T, n, bs int) *Durable {
+	t.Helper()
+	d, err := CreateDurable(filepath.Join(t.TempDir(), "blocks"), n, bs, DurableOptions{Sync: SyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	exerciseBatch(t, f, 8, 32)
+	t.Cleanup(func() { d.Close() })
+	return d
 }
 
 func TestCountingBatchConformance(t *testing.T) {
@@ -128,16 +136,12 @@ func TestLoopAdapterConformance(t *testing.T) {
 	exerciseBatch(t, pb, 8, 32)
 }
 
-// TestFileBatchGapsAndRuns drives the coalescing paths: scattered
+// TestDurableBatchGapsAndRuns drives the coalescing paths: scattered
 // singletons, a consecutive run, duplicates inside a run, and a gap that
 // must split two runs (a regression guard against zero-filling the gap).
-func TestFileBatchGapsAndRuns(t *testing.T) {
+func TestDurableBatchGapsAndRuns(t *testing.T) {
 	const n, bs = 16, 8
-	f, err := CreateFile(filepath.Join(t.TempDir(), "blocks.dat"), n, bs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	f := newTestDurable(t, n, bs)
 	for i := 0; i < n; i++ {
 		if err := f.Upload(i, block.Pattern(uint64(i), bs)); err != nil {
 			t.Fatal(err)
@@ -174,20 +178,17 @@ func TestFileBatchGapsAndRuns(t *testing.T) {
 	}
 }
 
-// TestFileBatchRunCap shrinks the run-buffer cap so a full-store batch is
-// forced through the sub-run splitting, proving bounded-memory coalescing
-// preserves contents, duplicate order, and the independent-copies contract.
-func TestFileBatchRunCap(t *testing.T) {
+// TestDurableBatchRunCap shrinks the run-buffer cap so a full-store batch
+// is forced through the sub-run splitting, proving bounded-memory
+// coalescing preserves contents, duplicate order, and the
+// independent-copies contract.
+func TestDurableBatchRunCap(t *testing.T) {
 	const n, bs = 32, 8
-	old := fileMaxRunBytes
-	fileMaxRunBytes = 3 * bs // three blocks per I/O
-	defer func() { fileMaxRunBytes = old }()
+	old := maxRunBytes
+	maxRunBytes = 3 * (bs + pageTrailer) // three pages per I/O
+	defer func() { maxRunBytes = old }()
 
-	f, err := CreateFile(filepath.Join(t.TempDir(), "blocks.dat"), n, bs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	f := newTestDurable(t, n, bs)
 
 	// Full-store write with a duplicate pair straddling typical splits.
 	ops := make([]WriteOp, 0, n+1)

@@ -2,7 +2,6 @@ package store
 
 import (
 	"net"
-	"path/filepath"
 	"testing"
 
 	"dpstore/internal/block"
@@ -47,21 +46,6 @@ func BenchmarkCountingOverhead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Download(i % 1024); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFileDownload(b *testing.B) {
-	b.ReportAllocs()
-	f, err := CreateFile(filepath.Join(b.TempDir(), "bench.dat"), 1024, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer f.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.Download(i % 1024); err != nil {
 			b.Fatal(err)
 		}
 	}

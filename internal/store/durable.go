@@ -18,8 +18,7 @@ import (
 )
 
 // Durable is a crash-safe disk-backed BatchServer: the storage engine the
-// daemon runs on when data must survive process death. Where File trades
-// durability for speed (no fsync, no checksums), Durable guarantees that
+// daemon runs on when data must outlive the process. It guarantees that
 // every acknowledged WriteBatch is recoverable after a crash at any byte
 // boundary, and that a torn page write can never corrupt previously
 // acknowledged data:
@@ -67,8 +66,8 @@ type Durable struct {
 	pages *os.File
 	wal   *os.File
 
-	// pageMu serializes page I/O (reads, applies, compaction) exactly like
-	// File's mutex; the WAL append path has its own serialization through
+	// pageMu serializes page I/O (reads, applies, compaction); the WAL
+	// append path has its own serialization through
 	// the committer goroutine. It also guards the batch-path scratch below:
 	// the vectored-I/O state, the per-run buffer list, and the CRC staging
 	// buffer that rides interleaved with page payloads (a page on disk is
@@ -215,10 +214,7 @@ func CreateDurable(base string, n, blockSize int, opts DurableOptions) (*Durable
 
 // OpenDurable opens an existing durable store at base, replaying the
 // write-ahead log so the pages reflect every acknowledged batch, and
-// compacting the log. A file in the legacy headerless File format (exactly
-// n·blockSize bytes, as CreateFile lays out) is migrated in place to the
-// versioned page format — the one-way upgrade path for stores that predate
-// the engine.
+// compacting the log.
 func OpenDurable(base string, n, blockSize int, opts DurableOptions) (*Durable, error) {
 	if n <= 0 || blockSize <= 0 {
 		return nil, fmt.Errorf("store: invalid durable store shape n=%d blockSize=%d", n, blockSize)
@@ -240,14 +236,10 @@ func OpenDurable(base string, n, blockSize int, opts DurableOptions) (*Durable, 
 	return d, nil
 }
 
-// OpenOrCreateDurable opens base if its pages file exists (in either the
-// engine or the legacy format) and creates it otherwise.
+// OpenOrCreateDurable opens base if its pages file exists and creates it
+// otherwise.
 func OpenOrCreateDurable(base string, n, blockSize int, opts DurableOptions) (*Durable, error) {
 	if _, err := os.Stat(base + ".pages"); err == nil {
-		return OpenDurable(base, n, blockSize, opts)
-	}
-	// A bare legacy File at base itself is also an open path: migrate it.
-	if st, err := os.Stat(base); err == nil && !st.IsDir() {
 		return OpenDurable(base, n, blockSize, opts)
 	}
 	return CreateDurable(base, n, blockSize, opts)
@@ -345,20 +337,9 @@ func (d *Durable) createWAL() error {
 	return nil
 }
 
-// openPages opens and validates the pages file, migrating a legacy
-// headerless File store when it finds one.
+// openPages opens and validates the pages file.
 func (d *Durable) openPages() error {
 	path := d.pagesPath()
-	if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
-		// No .pages file: look for a legacy File-format store at base.
-		if st, lerr := os.Stat(d.base); lerr == nil && st.Size() == int64(d.n)*int64(d.blockSize) {
-			if err := d.migrateLegacy(); err != nil {
-				return err
-			}
-		} else {
-			return fmt.Errorf("store: opening %s: %w", path, err)
-		}
-	}
 	pages, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return fmt.Errorf("store: opening %s: %w", path, err)
@@ -370,7 +351,7 @@ func (d *Durable) openPages() error {
 	}
 	if [8]byte(hdr[:8]) != pagesMagic {
 		pages.Close()
-		return fmt.Errorf("%w: %s has no engine magic (not created by CreateDurable, and not a legacy store of this shape)", ErrCorrupt, path)
+		return fmt.Errorf("%w: %s has no engine magic (not created by CreateDurable)", ErrCorrupt, path)
 	}
 	if crc32.Checksum(hdr[:pagesHdrSize-4], castagnoli) != binary.BigEndian.Uint32(hdr[pagesHdrSize-4:]) {
 		pages.Close()
@@ -397,56 +378,6 @@ func (d *Durable) openPages() error {
 	}
 	d.pages = pages
 	return nil
-}
-
-// migrateLegacy converts a headerless CreateFile-format store at base into
-// the engine's page format, atomically: the converted copy is built at a
-// temp path, synced, and renamed to <base>.pages; the legacy file is
-// removed only after the rename lands. A crash mid-migration leaves either
-// the legacy file (retry migrates again) or the finished pages file.
-func (d *Durable) migrateLegacy() error {
-	legacy, err := os.Open(d.base)
-	if err != nil {
-		return fmt.Errorf("store: opening legacy store %s: %w", d.base, err)
-	}
-	defer legacy.Close()
-	tmp := d.pagesPath() + ".tmp"
-	out, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: creating %s: %w", tmp, err)
-	}
-	defer os.Remove(tmp)
-	if _, err := out.WriteAt(d.encodePagesHeader(), 0); err != nil {
-		out.Close()
-		return fmt.Errorf("store: migrating %s: %w", d.base, err)
-	}
-	raw := make([]byte, d.blockSize)
-	off := int64(pagesHdrSize)
-	for i := 0; i < d.n; i++ {
-		if _, err := io.ReadFull(io.NewSectionReader(legacy, int64(i)*int64(d.blockSize), int64(d.blockSize)), raw); err != nil {
-			out.Close()
-			return fmt.Errorf("store: migrating %s: reading slot %d: %w", d.base, i, err)
-		}
-		if _, err := out.WriteAt(d.sealPage(raw), off); err != nil {
-			out.Close()
-			return fmt.Errorf("store: migrating %s: writing page %d: %w", d.base, i, err)
-		}
-		off += int64(d.pageSize)
-	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		return fmt.Errorf("store: migrating %s: %w", d.base, err)
-	}
-	if err := out.Close(); err != nil {
-		return fmt.Errorf("store: migrating %s: %w", d.base, err)
-	}
-	if err := os.Rename(tmp, d.pagesPath()); err != nil {
-		return fmt.Errorf("store: migrating %s: %w", d.base, err)
-	}
-	if err := os.Remove(d.base); err != nil {
-		return fmt.Errorf("store: removing migrated legacy store: %w", err)
-	}
-	return syncDir(filepath.Dir(d.base))
 }
 
 // openWAL opens (or creates) the log and validates its header.
@@ -590,6 +521,17 @@ func (d *Durable) pageOff(addr int) int64 {
 	return int64(pagesHdrSize) + int64(addr)*int64(d.pageSize)
 }
 
+// maxRunBytes caps the I/O buffer a coalesced run may use: a
+// full-database batch still runs as a handful of large sequential
+// transfers, but memory stays bounded no matter the store size. A var so
+// tests can shrink it to exercise the splitting.
+var maxRunBytes = 1 << 20
+
+// maxRunPages returns the run-split granularity in pages.
+func (d *Durable) maxRunPages() int {
+	return max(maxRunBytes/d.pageSize, 1)
+}
+
 // sortKeyBits is the index width of the composite (addr ‖ index) sort
 // keys: sorting plain uint64s is several times cheaper than a reflective
 // sort.SliceStable over WriteOp structs, and packing the original index
@@ -618,7 +560,7 @@ func sortKeys(count int, addrOf func(i int) int) []uint64 {
 }
 
 // applyPages writes the ops' pages, coalescing address-sorted runs into
-// one vectored write each like File does. No fsync: durability comes from
+// one vectored write each. No fsync: durability comes from
 // the already-synced log record. Caller need not hold pageMu; applyPages
 // takes it.
 func (d *Durable) applyPages(ops []WriteOp) error {
@@ -634,10 +576,7 @@ func (d *Durable) applyPages(ops []WriteOp) error {
 		addrAt = func(k int) int { return sorted[k].Addr }
 		opAt = func(k int) WriteOp { return sorted[k] }
 	}
-	maxRun := fileMaxRunBytes / d.pageSize
-	if maxRun < 1 {
-		maxRun = 1
-	}
+	maxRun := d.maxRunPages()
 	d.pageMu.Lock()
 	defer d.pageMu.Unlock()
 	for start := 0; start < count; {
@@ -982,8 +921,12 @@ func (d *Durable) Upload(addr int, b block.Block) error {
 	return d.WriteBatch([]WriteOp{{Addr: addr, Block: b}})
 }
 
-// ReadBatch implements BatchServer with File-style run coalescing over
-// pages; every page's checksum is verified before its payload is returned.
+// ReadBatch implements BatchServer. Requested addresses are processed in
+// sorted order and coalesced into runs of consecutive (or duplicate)
+// pages, each served by one vectored read bounded by maxRunBytes — a
+// full-database scan (linear PIR) stays a few sequential transfers instead
+// of n seeks. Every page's checksum is verified before its payload is
+// returned.
 func (d *Durable) ReadBatch(addrs []int) ([]block.Block, error) {
 	if err := d.gate(); err != nil {
 		return nil, err
@@ -1007,10 +950,7 @@ func (d *Durable) ReadBatch(addrs []int) ([]block.Block, error) {
 		sort.Slice(order, func(a, b int) bool { return addrs[order[a]] < addrs[order[b]] })
 	}
 	out := newSlab(len(addrs), d.blockSize)
-	maxRun := fileMaxRunBytes / d.pageSize
-	if maxRun < 1 {
-		maxRun = 1
-	}
+	maxRun := d.maxRunPages()
 	d.pageMu.Lock()
 	defer d.pageMu.Unlock()
 	for start := 0; start < len(order); {

@@ -254,62 +254,6 @@ func TestDurableHeaderValidation(t *testing.T) {
 	}
 }
 
-// TestDurableMigratesLegacyFile: a headerless CreateFile-format store is
-// migrated to the page format on open, preserving every slot.
-func TestDurableMigratesLegacyFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "blocks.dat")
-	legacy, err := CreateFile(path, 8, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]block.Block, 8)
-	for i := range want {
-		want[i] = fillBlock(16, byte(10*i))
-		if err := legacy.Upload(i, want[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := legacy.Close(); err != nil {
-		t.Fatal(err)
-	}
-	d, err := OpenDurable(path, 8, 16, DurableOptions{})
-	if err != nil {
-		t.Fatalf("legacy migration failed: %v", err)
-	}
-	defer d.Close()
-	for i := range want {
-		got, err := d.Download(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want[i]) {
-			t.Fatalf("slot %d lost in migration", i)
-		}
-	}
-	// The legacy file is gone; the engine files replace it.
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("legacy file still present after migration")
-	}
-	if _, err := os.Stat(path + ".pages"); err != nil {
-		t.Fatal("pages file missing after migration")
-	}
-	// OpenOrCreateDurable on the migrated base keeps the data.
-	d.Close()
-	d2, err := OpenOrCreateDurable(path, 8, 16, DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	got, err := d2.Download(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want[3]) {
-		t.Fatal("migrated data lost on second open")
-	}
-}
-
 // TestDurableCompaction: the WAL is truncated back to its header once it
 // outgrows the limit, and the data stays intact (including across reopen).
 func TestDurableCompaction(t *testing.T) {

@@ -65,7 +65,7 @@ func NewNamespaces() *Namespaces {
 // SetEpoch sets the recovery epoch the serve loop reports in every info
 // and open handshake. A durable daemon passes the value BumpEpoch returned
 // at startup; the zero default means "no durability claim", which is what
-// pre-epoch clients and in-memory daemons see.
+// in-memory daemons report.
 func (ns *Namespaces) SetEpoch(e uint64) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()

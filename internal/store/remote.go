@@ -173,7 +173,7 @@ func (rs *Remote) Epoch() uint64 {
 
 // Partitions returns the scheme-partition count the server reported in
 // the handshake: ≥ 1 for a proxy-backed namespace, 0 for block namespaces
-// and pre-partition servers (no partitioning claim).
+// (no partitioning claim).
 func (rs *Remote) Partitions() int {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -458,12 +458,9 @@ func (rs *Remote) ReplicaStatus() ([]ReplicaStatus, error) {
 // MsgStatsReq round trip): admission counters, queue state, and backing
 // gauges for every hosted namespace, regardless of which one this
 // connection has open. Counters are cumulative since daemon start, so a
-// monitor derives throughput from two snapshots. The request asks for
-// the quantile-extended v2 frame; a pre-v2 daemon ignores the request
-// payload and answers v1, in which case the extension fields come back
-// zero (Requests == 0 is the tell).
+// monitor derives throughput from two snapshots.
 func (rs *Remote) Stats() ([]wire.StatsEntry, error) {
-	resp, err := rs.roundTrip(wire.EncodeStatsReq(wire.StatsVersionExt), wire.MsgStatsResp)
+	resp, err := rs.roundTrip(wire.Frame{Type: wire.MsgStatsReq}, wire.MsgStatsResp)
 	if err != nil {
 		return nil, err
 	}
@@ -483,7 +480,7 @@ func (rs *Remote) Close() error { return rs.conn.Close() }
 // backing until ln is closed. Each connection is handled on its own
 // goroutine; backing must be safe for concurrent use (all Servers in this
 // package are). Batch requests execute through backing's native
-// BatchServer implementation when it has one, so a Mem-, File- or
+// BatchServer implementation when it has one, so a Mem-, Durable- or
 // Sharded-backed daemon keeps its single-lock / coalesced-I/O /
 // parallel-shard fast path end to end. Serve is the single-tenant form of
 // ServeNamespaces: backing becomes the default namespace, so pre-namespace
@@ -594,7 +591,7 @@ func serveConn(conn net.Conn, ns *Namespaces) {
 				lim = ns.limiterFor(curName)
 			}
 		case req.Type == wire.MsgStatsReq:
-			resp = handleStats(ns, req.Payload)
+			resp = handleStats(ns)
 		case cur.none():
 			resp = wire.EncodeError("no namespace selected (send an open request first)")
 		case cur.acc != nil:
@@ -638,18 +635,9 @@ func observeSlow(sl *obs.SlowLog, arrival time.Time, nsName string, frameType by
 // handleStats answers the daemon-wide metrics probe. Like the replica
 // status frame it describes the whole daemon, not the connection's
 // namespace, and is never subject to admission — a saturated daemon must
-// stay observable. The request payload carries the stats protocol
-// version the client wants (empty = v1, preserving old clients);
-// unknown versions degrade to v1 rather than erroring.
-func handleStats(ns *Namespaces, reqPayload []byte) wire.Frame {
-	entries := ns.Stats()
-	var resp wire.Frame
-	var err error
-	if wire.StatsReqVersion(reqPayload) >= wire.StatsVersionExt {
-		resp, err = wire.EncodeStatsRespExt(entries)
-	} else {
-		resp, err = wire.EncodeStatsResp(entries)
-	}
+// stay observable.
+func handleStats(ns *Namespaces) wire.Frame {
+	resp, err := wire.EncodeStatsResp(ns.Stats())
 	if err != nil {
 		return wire.EncodeError(err.Error())
 	}
@@ -794,6 +782,8 @@ func handleAccess(req wire.Frame, acc Accessor, epoch uint64) wire.Frame {
 	}
 }
 
+// handle is the cold path of a block-backed namespace. The batch frames
+// never reach it: serveConn serves them through handleBatch first.
 func handle(req wire.Frame, backing BatchServer, epoch uint64) wire.Frame {
 	switch req.Type {
 	case wire.MsgInfoReq:
@@ -821,38 +811,6 @@ func handle(req wire.Frame, backing BatchServer, epoch uint64) wire.Frame {
 			return wire.EncodeError(err.Error())
 		}
 		return wire.Frame{Type: wire.MsgUploadResp}
-	case wire.MsgReadBatchReq:
-		addrs, err := wire.DecodeReadBatchReq(req.Payload)
-		if err != nil {
-			return wire.EncodeError(err.Error())
-		}
-		if 4+int64(len(addrs))*int64(backing.BlockSize()) > wire.MaxFrame {
-			return wire.EncodeError(fmt.Sprintf(
-				"read batch of %d × %d B blocks exceeds the %d B frame limit",
-				len(addrs), backing.BlockSize(), wire.MaxFrame))
-		}
-		blocks, err := backing.ReadBatch(addrs)
-		if err != nil {
-			return wire.EncodeError(err.Error())
-		}
-		raw := make([][]byte, len(blocks))
-		for i, b := range blocks {
-			raw[i] = b
-		}
-		return wire.EncodeReadBatchResp(raw)
-	case wire.MsgWriteBatchReq:
-		addrs, blocks, err := wire.DecodeWriteBatchReq(req.Payload)
-		if err != nil {
-			return wire.EncodeError(err.Error())
-		}
-		ops := make([]WriteOp, len(addrs))
-		for i := range addrs {
-			ops[i] = WriteOp{Addr: addrs[i], Block: block.Block(blocks[i])}
-		}
-		if err := backing.WriteBatch(ops); err != nil {
-			return wire.EncodeError(err.Error())
-		}
-		return wire.Frame{Type: wire.MsgWriteBatchResp}
 	case wire.MsgResyncReq:
 		expect, err := wire.DecodeResyncReq(req.Payload)
 		if err != nil {

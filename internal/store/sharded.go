@@ -17,8 +17,8 @@ import (
 // need. First, any address multiset — uniform decoy sets, tree paths,
 // sequential scans — spreads across shards near-evenly, so no access
 // pattern concentrates on one lock. Second, a contiguous logical range
-// maps to a contiguous local range within every shard, so the File
-// backend's run-coalescing survives sharding: a ScanRange window becomes K
+// maps to a contiguous local range within every shard, so the Durable
+// engine's run-coalescing survives sharding: a ScanRange window becomes K
 // sequential reads executing concurrently instead of one.
 //
 // A sharded batch is transcript-equivalent to the unsharded one: the same

@@ -19,7 +19,7 @@ import "dpstore/internal/block"
 //     its neighbor — but retaining a single block pins the whole batch's
 //     backing (len(addrs)·blockSize bytes, bounded by the request the caller
 //     itself made, never by MaxFrame or another tenant's batch).
-//   - Producers (Mem, File, Durable, Remote) must fully overwrite every
+//   - Producers (Mem, Durable, Remote) must fully overwrite every
 //     block before returning the slab; a slab never carries recycled bytes
 //     because it is freshly allocated, and it is never pooled precisely
 //     because ownership transfers to the caller.

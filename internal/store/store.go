@@ -5,7 +5,8 @@
 // Server interface is exactly that. The package ships four implementations:
 //
 //   - Mem: an in-memory array, the workhorse for experiments;
-//   - File: a disk-backed array (one fixed-size slot per record);
+//   - Durable: a crash-safe disk-backed array (checksummed pages plus a
+//     write-ahead log);
 //   - Counting: a wrapper that meters operations and bytes, giving the
 //     "overhead" columns of every experiment table;
 //   - Remote: a TCP client speaking the wire protocol of package wire,

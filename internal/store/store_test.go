@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 	"net"
-	"path/filepath"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -103,55 +102,6 @@ func TestNewMemFrom(t *testing.T) {
 	b, _ := m.Download(0)
 	if !block.CheckPattern(b, 0) {
 		t.Fatal("server aliases the source database")
-	}
-}
-
-func TestFileConformance(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "blocks.dat")
-	f, err := CreateFile(path, 8, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	exercise(t, f, 8, 32)
-}
-
-func TestFilePersistsAcrossOpen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "blocks.dat")
-	f, err := CreateFile(path, 4, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := block.Pattern(5, 16)
-	if err := f.Upload(2, want); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	g, err := OpenFile(path, 4, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	got, err := g.Download(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatal("data did not persist")
-	}
-}
-
-func TestOpenFileValidatesShape(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "blocks.dat")
-	f, _ := CreateFile(path, 4, 16)
-	f.Close()
-	if _, err := OpenFile(path, 5, 16); err == nil {
-		t.Fatal("wrong shape accepted")
-	}
-	if _, err := OpenFile(filepath.Join(t.TempDir(), "missing"), 4, 16); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }
 

@@ -5,7 +5,7 @@ package store
 // Vectored page I/O — the real preadv(2)/pwritev(2) implementation. A
 // coalesced run of N blocks becomes ONE syscall that scatters straight into
 // the N caller buffers (or gathers straight out of them), with no staging
-// copy in between: the File/Durable batch paths go from one large
+// copy in between: the Durable batch paths go from one large
 // memcpy'd transfer per run to zero-copy.
 //
 // The build tag mirrors the sync_linux.go/sync_other.go split but is

@@ -5,7 +5,7 @@ package store
 // Portable fallback for the vectored run I/O: semantically identical to
 // vectored_linux.go but implemented as ONE ReadAt/WriteAt per run through a
 // reusable staging buffer — which is exactly the pre-vectored behavior of
-// the File and Durable batch paths, so platforms without preadv/pwritev
+// the Durable batch paths, so platforms without preadv/pwritev
 // keep their previous performance characteristics to the syscall.
 
 import (

@@ -1,16 +1,14 @@
 package wire
 
-import (
-	"encoding/binary"
-	"testing"
-)
+import "testing"
 
-// TestInfoEpochRoundTrip: the 20-byte epoch-bearing layout round-trips.
+// TestInfoEpochRoundTrip: the epoch rides the one 24-byte layout and
+// round-trips; block namespaces send partitions 0.
 func TestInfoEpochRoundTrip(t *testing.T) {
 	want := Info{Size: 4096, BlockSize: 112, Epoch: 7}
 	f := EncodeInfo(want)
-	if len(f.Payload) != 20 {
-		t.Fatalf("payload %d bytes, want 20", len(f.Payload))
+	if len(f.Payload) != 24 {
+		t.Fatalf("payload %d bytes, want 24", len(f.Payload))
 	}
 	got, err := DecodeInfo(f.Payload)
 	if err != nil {
@@ -21,30 +19,8 @@ func TestInfoEpochRoundTrip(t *testing.T) {
 	}
 }
 
-// TestInfoLegacyDecode: the pre-epoch 12-byte layout decodes as epoch 0 —
-// new clients interoperate with old servers.
-func TestInfoLegacyDecode(t *testing.T) {
-	p := make([]byte, 12)
-	binary.BigEndian.PutUint64(p[:8], 1024)
-	binary.BigEndian.PutUint32(p[8:12], 64)
-	got, err := DecodeInfo(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Size != 1024 || got.BlockSize != 64 || got.Epoch != 0 {
-		t.Fatalf("legacy decode: %+v", got)
-	}
-	// Anything else is rejected.
-	for _, n := range []int{0, 11, 13, 19, 21, 23, 25} {
-		if _, err := DecodeInfo(make([]byte, n)); err == nil {
-			t.Fatalf("%d-byte info payload accepted", n)
-		}
-	}
-}
-
-// TestInfoPartitionsRoundTrip: a partition count selects the 24-byte
-// layout and round-trips; its absence keeps the 20-byte epoch layout, so
-// block namespaces stay bit-compatible with pre-partition clients.
+// TestInfoPartitionsRoundTrip: a partition count round-trips in the same
+// layout, and the open handshake carries it identically.
 func TestInfoPartitionsRoundTrip(t *testing.T) {
 	want := Info{Size: 4096, BlockSize: 64, Epoch: 7, Partitions: 4}
 	f := EncodeInfo(want)
@@ -58,16 +34,11 @@ func TestInfoPartitionsRoundTrip(t *testing.T) {
 	if got != want {
 		t.Fatalf("round trip: got %+v want %+v", got, want)
 	}
-	// 20-byte payloads decode as partitions 0 — old servers make no claim.
-	if got, err := DecodeInfo(EncodeInfo(Info{Size: 1, BlockSize: 1, Epoch: 2}).Payload); err != nil || got.Partitions != 0 {
-		t.Fatalf("epoch-layout decode: %+v, %v", got, err)
-	}
-	// The open handshake carries it identically.
 	of := EncodeOpenResp(want)
 	if of.Type != MsgOpenResp || len(of.Payload) != 24 {
 		t.Fatalf("open resp type %d, %d bytes", of.Type, len(of.Payload))
 	}
-	if got, err := DecodeOpenResp(of.Payload); err != nil || got.Partitions != 4 {
+	if got, err := DecodeOpenResp(of.Payload); err != nil || got != want {
 		t.Fatalf("open resp decode: %+v, %v", got, err)
 	}
 }

@@ -11,8 +11,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
-	"reflect"
 	"testing"
 )
 
@@ -198,35 +196,61 @@ func FuzzStatsResp(f *testing.F) {
 		{{Name: "ns", Kind: StatsKindBlock, Accepted: 100, Shed: 3, Inflight: 2, Queued: 1, Limit: 16, QueueCap: 64, SyncMicros: 850}},
 		{{Name: "a", Kind: StatsKindProxy, Depth: 17}, {Name: "b", Kind: StatsKindReplicated, Shed: 9}},
 	} {
-		fr, err := EncodeStatsResp(entries)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(fr.Payload)
+		f.Add(mustStatsPayload(f, entries...))
 	}
-	f.Add([]byte{0xff, 0xff})            // v2 marker with empty body
+	f.Add([]byte{0xff, 0xff})            // forged huge count, empty body
 	f.Add([]byte{0, 1, 0xff, 0xff, 'x'}) // forged name length
 	f.Add([]byte{0, 0, 0})               // trailing byte after zero entries
-	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, err := DecodeStatsResp(data)
-		if err != nil {
-			return
-		}
-		checkStatsInvariants(t, entries)
-		if len(data) >= 2 && data[0] == 0xff && data[1] == 0xff {
-			// v2 layout: the skip-forward extension tolerance makes the byte
-			// round trip non-canonical; assert the semantic one instead.
-			statsSemanticRoundTrip(t, entries)
-			return
-		}
-		fr, err := EncodeStatsResp(entries)
-		if err != nil {
-			t.Fatalf("accepted stats failed to re-encode: %v", err)
-		}
-		if !bytes.Equal(fr.Payload, data) {
-			t.Fatalf("stats round trip mismatch: %x → %+v → %x", data, entries, fr.Payload)
-		}
-	})
+	f.Fuzz(fuzzStatsRoundTrip)
+}
+
+// FuzzStatsRespExt fuzzes the same decoder from payloads whose entries
+// carry the quantile summary, entries whose quantile tail is short or
+// long, and payloads in the retired marker-prefixed layout: none may be
+// accepted unless it re-encodes bit-exactly.
+func FuzzStatsRespExt(f *testing.F) {
+	for _, entries := range [][]StatsEntry{
+		{},
+		{{Name: "ns", Kind: StatsKindBlock, Accepted: 100, Shed: 3, Inflight: 2, Queued: 1, Limit: 16, QueueCap: 64, SyncMicros: 850,
+			Requests: 97, P50Micros: 120, P90Micros: 400, P99Micros: 1500, P999Micros: 9000, MaxMicros: 22000, QueueP99Micros: 310}},
+		{{Name: "a", Kind: StatsKindProxy, Depth: 17, Requests: 1, MaxMicros: 5}, {Name: "b", Kind: StatsKindReplicated, Shed: 9}},
+	} {
+		f.Add(mustStatsPayload(f, entries...))
+	}
+	one := mustStatsPayload(f, StatsEntry{Name: "fwd", Kind: StatsKindBlock, Requests: 4})
+	f.Add(append(one[:len(one):len(one)], make([]byte, 8)...)) // entry grown by 8 bytes
+	f.Add(one[:len(one)-8])                                    // entry missing its last quantile
+	f.Add([]byte{0xff, 0xff, 1, 0, 0})                         // retired marker, v1 version byte
+	f.Add([]byte{0xff, 0xff, 2, 0, 1})                         // retired marker, declared entry, empty body
+	f.Add([]byte{0xff, 0xff, 2, 0xff, 0xff})                   // retired marker, forged huge count
+	f.Add([]byte{0xff, 0xff, 2, 0, 0, 0})                      // retired marker, trailing byte
+	f.Fuzz(fuzzStatsRoundTrip)
+}
+
+// fuzzStatsRoundTrip is the shared stats fuzz body: an accepted payload
+// must respect the decoder caps and re-encode to the same bytes.
+func fuzzStatsRoundTrip(t *testing.T, data []byte) {
+	entries, err := DecodeStatsResp(data)
+	if err != nil {
+		return
+	}
+	checkStatsInvariants(t, entries)
+	fr, err := EncodeStatsResp(entries)
+	if err != nil {
+		t.Fatalf("accepted stats failed to re-encode: %v", err)
+	}
+	if !bytes.Equal(fr.Payload, data) {
+		t.Fatalf("stats round trip mismatch: %x → %+v → %x", data, entries, fr.Payload)
+	}
+}
+
+func mustStatsPayload(tb testing.TB, entries ...StatsEntry) []byte {
+	tb.Helper()
+	fr, err := EncodeStatsResp(entries)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fr.Payload
 }
 
 func checkStatsInvariants(t *testing.T, entries []StatsEntry) {
@@ -242,68 +266,6 @@ func checkStatsInvariants(t *testing.T, entries []StatsEntry) {
 			t.Fatalf("decoder accepted unknown kind %d", e.Kind)
 		}
 	}
-}
-
-// statsSemanticRoundTrip asserts decode ∘ encodeExt ∘ decode = decode: a
-// decoded v2 entry set re-encodes canonically and decodes back to the
-// identical entries (field-exact, including every quantile).
-func statsSemanticRoundTrip(t *testing.T, entries []StatsEntry) {
-	t.Helper()
-	fr, err := EncodeStatsRespExt(entries)
-	if err != nil {
-		t.Fatalf("accepted extended stats failed to re-encode: %v", err)
-	}
-	again, err := DecodeStatsResp(fr.Payload)
-	if err != nil {
-		t.Fatalf("canonical re-encoding failed to decode: %v", err)
-	}
-	if !reflect.DeepEqual(entries, again) {
-		t.Fatalf("extended stats semantic round trip mismatch:\n%+v\n%+v", entries, again)
-	}
-}
-
-// FuzzStatsRespExt fuzzes the v2 quantile-extended stats decoder: the
-// marker/version/extLen machinery must reject inconsistent lengths, cap
-// all allocations, skip unknown extension tails, and semantically
-// round-trip every accepted payload.
-func FuzzStatsRespExt(f *testing.F) {
-	for _, entries := range [][]StatsEntry{
-		{},
-		{{Name: "ns", Kind: StatsKindBlock, Accepted: 100, Shed: 3, Inflight: 2, Queued: 1, Limit: 16, QueueCap: 64, SyncMicros: 850,
-			Requests: 97, P50Micros: 120, P90Micros: 400, P99Micros: 1500, P999Micros: 9000, MaxMicros: 22000, QueueP99Micros: 310}},
-		{{Name: "a", Kind: StatsKindProxy, Depth: 17, Requests: 1, MaxMicros: 5}, {Name: "b", Kind: StatsKindReplicated, Shed: 9}},
-	} {
-		fr, err := EncodeStatsRespExt(entries)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(fr.Payload)
-	}
-	// A future-version entry: extension longer than the known fields, the
-	// tail must be skipped.
-	long, err := EncodeStatsRespExt([]StatsEntry{{Name: "fwd", Kind: StatsKindBlock, Requests: 4}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	grown := append([]byte(nil), long.Payload...)
-	binary.BigEndian.PutUint16(grown[len(grown)-statsExtFixed-2:], statsExtFixed+8)
-	grown = append(grown, make([]byte, 8)...)
-	f.Add(grown)
-	f.Add([]byte{0xff, 0xff})                // marker, no version/count
-	f.Add([]byte{0xff, 0xff, 1, 0, 0})       // marker with v1 version byte
-	f.Add([]byte{0xff, 0xff, 2, 0, 1})       // declared entry, empty body
-	f.Add([]byte{0xff, 0xff, 2, 0xff, 0xff}) // forged huge count
-	f.Add([]byte{0xff, 0xff, 2, 0, 0, 0})    // trailing byte after zero entries
-	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, err := DecodeStatsResp(data)
-		if err != nil {
-			return
-		}
-		checkStatsInvariants(t, entries)
-		if len(data) >= 2 && data[0] == 0xff && data[1] == 0xff {
-			statsSemanticRoundTrip(t, entries)
-		}
-	})
 }
 
 // FuzzAccessReq fuzzes the proxy access decoder: op byte, index, record
@@ -328,41 +290,21 @@ func FuzzAccessReq(f *testing.F) {
 	})
 }
 
-// FuzzInfoResp fuzzes the handshake shape decoder across its three
-// accepted layouts (12-byte legacy, 20-byte epoch, 24-byte partition).
-// Decoding is canonicalizing — the legacy form re-encodes to the modern
-// layout — so the invariant is semantic idempotence (decode ∘ encode ∘
-// decode = decode), plus exact byte round trips on canonical inputs.
+// FuzzInfoResp fuzzes the handshake shape decoder. The payload has one
+// 24-byte layout, so every accepted input round-trips bit-exactly.
 func FuzzInfoResp(f *testing.F) {
 	f.Add(EncodeInfo(Info{Size: 1 << 16, BlockSize: 112}).Payload)
 	f.Add(EncodeInfo(Info{Size: 4096, BlockSize: 64, Epoch: 7}).Payload)
 	f.Add(EncodeInfo(Info{Size: 4096, BlockSize: 64, Epoch: 7, Partitions: 4}).Payload)
-	f.Add(make([]byte, 12)) // legacy layout
-	f.Add(make([]byte, 21)) // off-by-one of every boundary must reject
+	f.Add(make([]byte, 12)) // any length but 24 must reject
+	f.Add(make([]byte, 23))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		info, err := DecodeInfo(data)
 		if err != nil {
 			return
 		}
-		if len(data) < 20 && info.Epoch != 0 {
-			t.Fatalf("legacy payload produced epoch %d", info.Epoch)
-		}
-		if len(data) < 24 && info.Partitions != 0 {
-			t.Fatalf("%d-byte payload produced partitions %d", len(data), info.Partitions)
-		}
-		fr := EncodeInfo(info)
-		again, err := DecodeInfo(fr.Payload)
-		if err != nil {
-			t.Fatalf("re-encoded info failed to decode: %v", err)
-		}
-		if again != info {
-			t.Fatalf("info round trip drifted: %+v → %+v", info, again)
-		}
-		// Canonical layouts round-trip bit-exactly.
-		if (len(data) == 20 && info.Partitions == 0) || (len(data) == 24 && info.Partitions > 0) {
-			if !bytes.Equal(fr.Payload, data) {
-				t.Fatalf("canonical info round trip mismatch: %x → %x", data, fr.Payload)
-			}
+		if fr := EncodeInfo(info); !bytes.Equal(fr.Payload, data) {
+			t.Fatalf("info round trip mismatch: %x → %+v → %x", data, info, fr.Payload)
 		}
 	})
 }

@@ -121,7 +121,8 @@ func DecodeBusy(p []byte) (*BusyError, error) {
 //	nameLen uint16 ‖ name ‖ kind uint8 ‖
 //	accepted uint64 ‖ shed uint64 ‖
 //	inflight uint32 ‖ queued uint32 ‖ limit uint32 ‖ queueCap uint32 ‖
-//	depth uint64 ‖ syncMicros uint64
+//	depth uint64 ‖ syncMicros uint64 ‖
+//	requests uint64 ‖ p50 ‖ p90 ‖ p99 ‖ p999 ‖ max ‖ queueP99 (uint64 each)
 type StatsEntry struct {
 	Name string
 	Kind uint8 // StatsKindBlock / StatsKindProxy / StatsKindReplicated
@@ -143,10 +144,9 @@ type StatsEntry struct {
 	Depth      uint64
 	SyncMicros uint64
 
-	// Extended quantile summary, carried only by the v2 stats frame
-	// (EncodeStatsRespExt; see load_ext.go). All zero when the peer spoke
-	// v1. Latencies are whole microseconds of the namespace's service-time
-	// histogram (admission release to flush), recorded since daemon start.
+	// Quantile summary. Latencies are whole microseconds of the
+	// namespace's service-time histogram (admission release to flush),
+	// recorded since daemon start.
 	Requests       uint64 // observations in the service-time histogram
 	P50Micros      uint64
 	P90Micros      uint64
@@ -157,9 +157,9 @@ type StatsEntry struct {
 }
 
 // statsEntryFixed is the byte size of one entry minus its variable name.
-const statsEntryFixed = 2 + 1 + 8 + 8 + 4 + 4 + 4 + 4 + 8 + 8
+const statsEntryFixed = 2 + 1 + 8 + 8 + 4 + 4 + 4 + 4 + 8 + 8 + 7*8
 
-// appendStatsEntry validates and appends one entry's v1 wire form
+// appendStatsEntry validates and appends one entry's wire form
 // (nameLen ‖ name ‖ fixed fields) to p.
 func appendStatsEntry(p []byte, e *StatsEntry) ([]byte, error) {
 	if len(e.Name) > MaxNamespaceName {
@@ -183,14 +183,15 @@ func appendStatsEntry(p []byte, e *StatsEntry) ([]byte, error) {
 		binary.BigEndian.PutUint32(u4[:], v)
 		p = append(p, u4[:]...)
 	}
-	for _, v := range []uint64{e.Depth, e.SyncMicros} {
+	for _, v := range []uint64{e.Depth, e.SyncMicros,
+		e.Requests, e.P50Micros, e.P90Micros, e.P99Micros, e.P999Micros, e.MaxMicros, e.QueueP99Micros} {
 		binary.BigEndian.PutUint64(u8[:], v)
 		p = append(p, u8[:]...)
 	}
 	return p, nil
 }
 
-// decodeStatsEntry parses one entry's v1 wire form off the front of body,
+// decodeStatsEntry parses one entry's wire form off the front of body,
 // returning the entry and the remaining bytes.
 func decodeStatsEntry(body []byte, i int) (StatsEntry, []byte, error) {
 	if len(body) < 2 {
@@ -217,12 +218,18 @@ func decodeStatsEntry(body []byte, i int) (StatsEntry, []byte, error) {
 	e.QueueCap = binary.BigEndian.Uint32(rest[29:33])
 	e.Depth = binary.BigEndian.Uint64(rest[33:41])
 	e.SyncMicros = binary.BigEndian.Uint64(rest[41:49])
-	return e, rest[49:], nil
+	e.Requests = binary.BigEndian.Uint64(rest[49:57])
+	e.P50Micros = binary.BigEndian.Uint64(rest[57:65])
+	e.P90Micros = binary.BigEndian.Uint64(rest[65:73])
+	e.P99Micros = binary.BigEndian.Uint64(rest[73:81])
+	e.P999Micros = binary.BigEndian.Uint64(rest[81:89])
+	e.MaxMicros = binary.BigEndian.Uint64(rest[89:97])
+	e.QueueP99Micros = binary.BigEndian.Uint64(rest[97:105])
+	return e, rest[105:], nil
 }
 
-// EncodeStatsResp builds a v1 MsgStatsResp frame (no quantile extension —
-// what a pre-v2 client gets). Namespace names are capped at
-// MaxNamespaceName bytes, entry counts at MaxStatsEntries.
+// EncodeStatsResp builds a MsgStatsResp frame. Namespace names are capped
+// at MaxNamespaceName bytes, entry counts at MaxStatsEntries.
 func EncodeStatsResp(entries []StatsEntry) (Frame, error) {
 	if len(entries) > MaxStatsEntries {
 		return Frame{}, fmt.Errorf("%w: %d entries exceeds the %d cap", ErrStats, len(entries), MaxStatsEntries)
@@ -241,21 +248,16 @@ func EncodeStatsResp(entries []StatsEntry) (Frame, error) {
 	return Frame{Type: MsgStatsResp, Payload: p}, nil
 }
 
-// DecodeStatsResp parses a MsgStatsResp payload, auto-detecting the v1
-// and v2 (quantile-extended) layouts — the extension marker 0xFFFF is an
-// impossible v1 entry count, so one decoder serves clients of both
-// server generations. Like the replica status decoder, every declared
-// length must be consistent with the remaining payload and the payload
-// must end exactly at the last entry, so forged counts and name lengths
-// can neither over-allocate nor alias numeric fields into names.
+// DecodeStatsResp parses a MsgStatsResp payload. Like the replica status
+// decoder, every declared length must be consistent with the remaining
+// payload and the payload must end exactly at the last entry, so forged
+// counts and name lengths can neither over-allocate nor alias numeric
+// fields into names.
 func DecodeStatsResp(p []byte) ([]StatsEntry, error) {
 	if len(p) < 2 {
 		return nil, fmt.Errorf("%w: stats response %d bytes", ErrShortPayload, len(p))
 	}
 	count := int(binary.BigEndian.Uint16(p[:2]))
-	if count == statsExtMarker {
-		return decodeStatsRespExt(p[2:])
-	}
 	if count > MaxStatsEntries {
 		return nil, fmt.Errorf("%w: %d entries exceeds the %d cap", ErrStats, count, MaxStatsEntries)
 	}

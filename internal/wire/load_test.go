@@ -2,6 +2,7 @@ package wire
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -148,5 +149,65 @@ func TestStatsHostileInputs(t *testing.T) {
 	}
 	if _, err := EncodeStatsResp([]StatsEntry{{Kind: 99}}); err == nil {
 		t.Error("encoder accepted an unknown kind")
+	}
+}
+
+// TestStatsExtRoundTrip checks the quantile summary fields (Requests
+// through QueueP99Micros) survive a round trip alongside the admission
+// counters, and that an entry without observations keeps them zero.
+func TestStatsExtRoundTrip(t *testing.T) {
+	want := []StatsEntry{
+		{
+			Name: "alpha", Kind: StatsKindProxy,
+			Accepted: 1000, Shed: 12, Inflight: 3, Queued: 2, Limit: 16, QueueCap: 64,
+			Depth: 40, SyncMicros: 900,
+			Requests: 988, P50Micros: 110, P90Micros: 340, P99Micros: 2100,
+			P999Micros: 8800, MaxMicros: 15000, QueueP99Micros: 77,
+		},
+		{Name: "beta", Kind: StatsKindBlock, Accepted: 5},
+	}
+	fr, err := EncodeStatsResp(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.Type != MsgStatsResp {
+		t.Fatalf("frame type %d", fr.Type)
+	}
+	if n := len(fr.Payload); n != 2+2*statsEntryFixed+len("alpha")+len("beta") {
+		t.Fatalf("payload %d bytes, want a fixed-size entry per namespace", n)
+	}
+	got, err := DecodeStatsResp(fr.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("round trip mismatch:\nwant %+v\ngot  %+v", want, got)
+	}
+}
+
+// TestStatsExtHostileInputs feeds the decoder entries whose quantile tail
+// is short or long, and payloads in the retired marker-prefixed layout
+// (0xFFFF ‖ version ‖ count ‖ entries with an extension length): all must
+// be rejected, since the quantile fields are part of every fixed entry.
+func TestStatsExtHostileInputs(t *testing.T) {
+	one, err := EncodeStatsResp([]StatsEntry{{Name: "x", Kind: StatsKindBlock, Requests: 7, MaxMicros: 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := one.Payload
+	for name, b := range map[string][]byte{
+		"missing quantile":    p[:len(p)-8],
+		"missing all tail":    p[:len(p)-7*8],
+		"grown entry":         append(append([]byte(nil), p...), make([]byte, 8)...),
+		"marker only":         {0xff, 0xff},
+		"marker v1 version":   {0xff, 0xff, 1, 0, 0},
+		"marker missing body": {0xff, 0xff, 2, 0, 1},
+		"marker huge count":   {0xff, 0xff, 2, 0xff, 0xff},
+		"marker trailing":     {0xff, 0xff, 2, 0, 0, 0},
+		"truncated entries":   p[:10],
+	} {
+		if _, err := DecodeStatsResp(b); err == nil {
+			t.Errorf("%s: accepted %x", name, b)
+		}
 	}
 }

@@ -13,7 +13,7 @@
 // Payloads:
 //
 //	MsgInfoReq        (empty)
-//	MsgInfoResp       size uint64 ‖ blockSize uint32 ‖ epoch uint64 [‖ partitions uint32]
+//	MsgInfoResp       size uint64 ‖ blockSize uint32 ‖ epoch uint64 ‖ partitions uint32
 //	MsgDownloadReq    addr uint64
 //	MsgDownloadResp   block bytes
 //	MsgUploadReq      addr uint64 ‖ block bytes
@@ -24,7 +24,7 @@
 //	MsgWriteBatchReq  count uint32 ‖ count × (addr uint64 ‖ block bytes)
 //	MsgWriteBatchResp (empty)
 //	MsgOpenReq        nameLen uint16 ‖ name bytes ‖ slots uint64 ‖ blockSize uint32
-//	MsgOpenResp       slots uint64 ‖ blockSize uint32 ‖ epoch uint64
+//	MsgOpenResp       slots uint64 ‖ blockSize uint32 ‖ epoch uint64 ‖ partitions uint32
 //	MsgAccessReq      op uint8 ‖ index uint64 ‖ record bytes (writes only)
 //	MsgAccessResp     record bytes
 //	MsgReplStatusReq  (empty)
@@ -60,18 +60,14 @@
 // "whatever the server already has (or defaults to)". The response carries
 // the namespace's actual shape, exactly like MsgInfoResp.
 //
-// The trailing epoch of MsgInfoResp/MsgOpenResp is the server's recovery
-// epoch: a counter a durable daemon (-data) bumps on every startup, so a
-// client comparing the epoch across connections can detect that the server
-// restarted (and therefore recovered) in between. Pre-epoch servers sent a
-// 12-byte payload; decoders accept both layouts, treating the short form
-// as epoch 0 ("server makes no durability claim"), so the handshake stays
-// backward and forward compatible. Proxy-backed namespaces additionally
-// append a partitions uint32 (the 24-byte layout): the number of
-// independent scheme instances the tenant's logical address space is
-// striped over (1 = unpartitioned). Decoders accept all three lengths,
-// treating absence as 0 ("no partitioning claim"); block namespaces keep
-// the 20-byte layout, so pre-partition clients interoperate unchanged.
+// The epoch of MsgInfoResp/MsgOpenResp is the server's recovery epoch: a
+// counter a durable daemon (-data) bumps on every startup, so a client
+// comparing the epoch across connections can detect that the server
+// restarted (and therefore recovered) in between; 0 means the server holds
+// no durable state. Partitions is the number of independent scheme
+// instances a proxy-backed namespace's logical address space is striped
+// over (1 = unpartitioned); block namespaces send 0 ("no partitioning
+// claim"). Both frames always carry all four fields (24 bytes).
 //
 // MsgAccessReq/MsgAccessResp are the proxy-mode frames: a logical
 // read/write of one record at the privacy-scheme level, not a block
@@ -219,10 +215,9 @@ func ReadFrame(r io.Reader) (Frame, error) {
 }
 
 // Info is the decoded MsgInfoResp payload. Epoch is the server's recovery
-// epoch (0 when the server predates epochs or holds no durable state).
-// Partitions is the scheme-partition count of a proxy-backed namespace
-// (≥ 1 there; 0 for block namespaces and pre-partition servers, meaning
-// "no partitioning claim").
+// epoch (0 when the server holds no durable state). Partitions is the
+// scheme-partition count of a proxy-backed namespace (≥ 1 there; 0 for
+// block namespaces, meaning "no partitioning claim").
 type Info struct {
 	Size       uint64
 	BlockSize  uint32
@@ -230,42 +225,30 @@ type Info struct {
 	Partitions uint32
 }
 
-// EncodeInfo builds a MsgInfoResp frame: the 24-byte partition-bearing
-// layout when Partitions is set, the 20-byte epoch layout otherwise — so
-// block namespaces keep emitting the frames pre-partition clients expect,
-// and only proxy namespaces (which set Partitions ≥ 1) use the extension.
+// infoSize is the fixed MsgInfoResp/MsgOpenResp payload size.
+const infoSize = 24
+
+// EncodeInfo builds a MsgInfoResp frame.
 func EncodeInfo(info Info) Frame {
-	n := 20
-	if info.Partitions > 0 {
-		n = 24
-	}
-	p := make([]byte, n)
+	p := make([]byte, infoSize)
 	binary.BigEndian.PutUint64(p[:8], info.Size)
 	binary.BigEndian.PutUint32(p[8:12], info.BlockSize)
 	binary.BigEndian.PutUint64(p[12:20], info.Epoch)
-	if n == 24 {
-		binary.BigEndian.PutUint32(p[20:24], info.Partitions)
-	}
+	binary.BigEndian.PutUint32(p[20:24], info.Partitions)
 	return Frame{Type: MsgInfoResp, Payload: p}
 }
 
-// DecodeInfo parses a MsgInfoResp payload: 24 bytes with a partition
-// count, 20 bytes with an epoch, or the legacy 12-byte layout (epoch 0).
+// DecodeInfo parses a MsgInfoResp payload, which is exactly 24 bytes.
 func DecodeInfo(p []byte) (Info, error) {
-	if len(p) != 12 && len(p) != 20 && len(p) != 24 {
+	if len(p) != infoSize {
 		return Info{}, fmt.Errorf("%w: info payload %d bytes", ErrShortPayload, len(p))
 	}
-	info := Info{
-		Size:      binary.BigEndian.Uint64(p[:8]),
-		BlockSize: binary.BigEndian.Uint32(p[8:12]),
-	}
-	if len(p) >= 20 {
-		info.Epoch = binary.BigEndian.Uint64(p[12:20])
-	}
-	if len(p) == 24 {
-		info.Partitions = binary.BigEndian.Uint32(p[20:24])
-	}
-	return info, nil
+	return Info{
+		Size:       binary.BigEndian.Uint64(p[:8]),
+		BlockSize:  binary.BigEndian.Uint32(p[8:12]),
+		Epoch:      binary.BigEndian.Uint64(p[12:20]),
+		Partitions: binary.BigEndian.Uint32(p[20:24]),
+	}, nil
 }
 
 // EncodeDownloadReq builds a MsgDownloadReq frame for addr.

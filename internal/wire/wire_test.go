@@ -71,11 +71,11 @@ func TestInfoRoundTrip(t *testing.T) {
 }
 
 func TestInfoBadLength(t *testing.T) {
-	if _, err := DecodeInfo(make([]byte, 11)); err == nil {
-		t.Fatal("short info accepted")
-	}
-	if _, err := DecodeInfo(make([]byte, 13)); err == nil {
-		t.Fatal("long info accepted")
+	// Any length but 24 rejects.
+	for _, n := range []int{0, 11, 12, 13, 20, 23, 25} {
+		if _, err := DecodeInfo(make([]byte, n)); err == nil {
+			t.Fatalf("%d-byte info payload accepted", n)
+		}
 	}
 }
 

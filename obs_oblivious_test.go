@@ -22,7 +22,7 @@ package dpstore
 //  2. Client-attribution permutation: permuting WHICH connection issues
 //     each request (global order fixed) leaves the full metric delta
 //     equally invariant — no per-client cardinality beyond the namespace.
-//  3. Scrape passivity: scraping the Prometheus exposition and the v2
+//  3. Scrape passivity: scraping the Prometheus exposition and the
 //     stats frame mid-load must not perturb the physical transcript by a
 //     single operation.
 //
@@ -252,7 +252,7 @@ func TestMetricsObliviousClientPermutation(t *testing.T) {
 }
 
 // TestMetricsScrapeDoesNotPerturbTranscript pins invariant 3: one run
-// scrapes the Prometheus exposition AND the v2 wire stats frame every few
+// scrapes the Prometheus exposition AND the wire stats frame every few
 // requests, the other never does; the recorded physical transcripts must
 // be bit-identical. The proxy runs WITHOUT the write-behind pipeline here
 // — exact trace comparison needs the strictly serialized scheduler, the
