@@ -28,15 +28,22 @@ func benchORAM(b *testing.B, n int, opts Options) *ORAM {
 	return o
 }
 
+// BenchmarkReadFlat is one flat Path ORAM read at two sizes: n = 2^12, the
+// allocation-gated case, and n = 2^16, the served benchmark's shape (height
+// 16, 136 blocks per access).
 func BenchmarkReadFlat(b *testing.B) {
-	b.ReportAllocs()
-	o := benchORAM(b, 1<<12, Options{Rand: rng.New(1), Key: crypto.KeyFromSeed(1)})
-	b.ReportMetric(float64(o.BlocksPerAccess()), "blocks/op")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := o.Read(i % (1 << 12)); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{1 << 12, 1 << 16} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			o := benchORAM(b, n, Options{Rand: rng.New(1), Key: crypto.KeyFromSeed(1)})
+			b.ReportMetric(float64(o.BlocksPerAccess()), "blocks/op")
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := o.Read(i % n); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

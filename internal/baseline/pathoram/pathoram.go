@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"dpstore/internal/block"
 	"dpstore/internal/crypto"
@@ -106,8 +107,9 @@ type ORAM struct {
 	addrBuf  []int           // read-phase address list
 	opBuf    []store.WriteOp // eviction write ops
 	evictBuf []int           // ids placed by the current eviction
-	taken    map[int]bool    // ids already placed on the current path
-	placed   []int           // per-bucket placement list
+	byLevel  [][]int         // stash ids by deepest level allowed (place)
+	carry    []int           // ids not yet placed while place climbs
+	slotIDs  []int           // place result: one id (or -1) per path slot
 	ctView   [][]byte        // read-phase OpenBatch input lens
 	ptSlab   []byte          // read-phase OpenBatch output (decrypted path)
 	slotSlab []byte          // eviction slot plaintext staging (both modes)
@@ -455,53 +457,73 @@ func (o *ORAM) access(i int, mutate func(cur block.Block) block.Block) error {
 	return nil
 }
 
-// evict writes the path back, placing each stash block into the deepest
-// bucket its current position tag allows. All Z·(height+1) slot plaintexts
-// are staged contiguously in the slot slab, sealed with one SealBatch
-// kernel call (encrypted mode), and shipped as a single WriteBatch: one
-// round trip for the whole write phase. The op list, placement bookkeeping,
-// and slabs all come from per-ORAM scratch; see the ownership note on the
-// scratch fields for the failed-write handoff.
+// place assigns stash blocks to the Z·(height+1) slots of path(leaf),
+// deepest bucket first, greedily: each bucket takes up to Z of the blocks
+// whose position tag allows it and that no deeper bucket took. The result
+// lists one stash id per slot in path order (bucket path[li] owns slots
+// li·Z .. li·Z+Z−1), −1 for a dummy; it is the reusable o.slotIDs
+// scratch, valid until the next place call.
+//
+// A block tagged pos may sit at every level down to the deepest one its
+// leaf shares with leaf: height − bits.Len(pos ^ leaf). The stash is
+// scanned once to bucket the ids by that level; the climb from the leaf
+// then adds each level's bucket to the carry of still-unplaced ids and
+// fills the level from the carry. Eligibility is nested — a block allowed
+// at level l is allowed at every level above it — so every carried id is
+// as good a choice as any other, and each level receives
+// min(Z, eligible − placed below) blocks, the greedy per-level count.
+func (o *ORAM) place(leaf int) []int {
+	if len(o.byLevel) != o.height+1 {
+		o.byLevel = make([][]int, o.height+1)
+	}
+	for l := range o.byLevel {
+		o.byLevel[l] = o.byLevel[l][:0]
+	}
+	for id, e := range o.stash {
+		l := o.height - bits.Len(uint(e.pos^leaf))
+		o.byLevel[l] = append(o.byLevel[l], id)
+	}
+	slots, carry := o.slotIDs[:0], o.carry[:0]
+	for l := o.height; l >= 0; l-- {
+		carry = append(carry, o.byLevel[l]...)
+		take := min(o.z, len(carry))
+		slots = append(slots, carry[len(carry)-take:]...)
+		carry = carry[:len(carry)-take]
+		for ; take < o.z; take++ {
+			slots = append(slots, -1)
+		}
+	}
+	o.slotIDs, o.carry = slots, carry
+	return slots
+}
+
+// evict writes the path back with the placement place chooses. All
+// Z·(height+1) slot plaintexts are staged contiguously in the slot slab,
+// sealed with one SealBatch kernel call (encrypted mode), and shipped as a
+// single WriteBatch: one round trip for the whole write phase. The op
+// list, placement bookkeeping, and slabs all come from per-ORAM scratch;
+// see the ownership note on the scratch fields for the failed-write
+// handoff.
 func (o *ORAM) evict(leaf int, path []int) error {
 	total := len(path) * o.z
 	ops := o.opBuf[:0]
 	evicted := o.evictBuf[:0]
-	if o.taken == nil {
-		o.taken = make(map[int]bool, total)
-	}
-	clear(o.taken)
 	if cap(o.slotSlab) < total*o.slotPlain {
 		o.slotSlab = make([]byte, total*o.slotPlain)
 	}
 	slab := o.slotSlab[:total*o.slotPlain]
-	for li, node := range path {
-		level := o.height - li // depth of this bucket
-		placed := o.placed[:0]
-		for id, e := range o.stash {
-			if len(placed) == o.z {
-				break
-			}
-			if !o.taken[id] && sameAncestor(e.pos, leaf, level, o.height) {
-				placed = append(placed, id)
-				o.taken[id] = true
-			}
+	for slot, id := range o.place(leaf) {
+		pt := block.Block(slab[slot*o.slotPlain : (slot+1)*o.slotPlain : (slot+1)*o.slotPlain])
+		if id >= 0 {
+			e := o.stash[id]
+			stageSlot(pt, uint64(id), e.pos, e.data)
+			evicted = append(evicted, id)
+		} else {
+			stageSlot(pt, dummyID, 0, nil)
 		}
-		o.placed = placed
-		for zi := 0; zi < o.z; zi++ {
-			slot := len(ops)
-			pt := block.Block(slab[slot*o.slotPlain : (slot+1)*o.slotPlain : (slot+1)*o.slotPlain])
-			if zi < len(placed) {
-				id := placed[zi]
-				e := o.stash[id]
-				stageSlot(pt, uint64(id), e.pos, e.data)
-				evicted = append(evicted, id)
-			} else {
-				stageSlot(pt, dummyID, 0, nil)
-			}
-			// Plaintext mode uploads the staged slot directly; encrypted mode
-			// patches in the sealed view after the batch kernel below.
-			ops = append(ops, store.WriteOp{Addr: node*o.z + zi, Block: pt})
-		}
+		// Plaintext mode uploads the staged slot directly; encrypted mode
+		// patches in the sealed view after the batch kernel below.
+		ops = append(ops, store.WriteOp{Addr: path[slot/o.z]*o.z + slot%o.z, Block: pt})
 	}
 	if !o.plaintext {
 		o.ctSlab = o.cipher.SealBatch(o.ctSlab[:0], slab, total, o.slotPlain)
@@ -553,11 +575,4 @@ func (o *ORAM) flushPending() error {
 	}
 	o.pendingWrite, o.pendingEvict = nil, nil
 	return nil
-}
-
-// sameAncestor reports whether leaves a and b share the ancestor at the
-// given level (root = level 0) of a tree with the given height.
-func sameAncestor(a, b, level, height int) bool {
-	shift := uint(height - level)
-	return a>>shift == b>>shift
 }

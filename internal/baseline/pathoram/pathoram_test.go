@@ -406,3 +406,83 @@ func TestTransientFaultConsistency(t *testing.T) {
 		}
 	}
 }
+
+// refPlace is the per-level eviction scan place replaced, kept as the
+// reference: for each bucket on path(leaf), deepest first, it scans the
+// whole stash for up to Z blocks not yet placed whose leaf shares that
+// bucket's ancestor. It returns the ids placed in each bucket, in path
+// order.
+func refPlace(stash map[int]stashEntry, leaf, height, z int) [][]int {
+	taken := make(map[int]bool)
+	out := make([][]int, height+1)
+	for li := range out {
+		level := height - li
+		for id, e := range stash {
+			if len(out[li]) == z {
+				break
+			}
+			if !taken[id] && sameAncestor(e.pos, leaf, level, height) {
+				out[li] = append(out[li], id)
+				taken[id] = true
+			}
+		}
+	}
+	return out
+}
+
+// sameAncestor reports whether leaves a and b share the ancestor at the
+// given level (root = level 0) of a tree with the given height.
+func sameAncestor(a, b, level, height int) bool {
+	shift := uint(height - level)
+	return a>>shift == b>>shift
+}
+
+func TestPlaceMatchesPerLevelScan(t *testing.T) {
+	src := rng.New(9)
+	for trial := 0; trial < 3000; trial++ {
+		height := 1 + src.Intn(12)
+		z := 1 + src.Intn(6)
+		leaf := src.Intn(1 << height)
+		// Positions near leaf fill the deep buckets and overflow them;
+		// uniform ones mostly qualify only near the root.
+		stash := make(map[int]stashEntry)
+		for size := src.Intn(3 * z * (height + 1)); len(stash) < size; {
+			d := src.Intn(height + 1)
+			stash[src.Intn(1<<20)] = stashEntry{pos: leaf ^ src.Intn(1<<d)}
+		}
+		o := &ORAM{z: z, height: height, numLeaves: 1 << height, stash: stash}
+
+		slots := o.place(leaf)
+		if len(slots) != z*(height+1) {
+			t.Fatalf("trial %d: %d slots, want %d", trial, len(slots), z*(height+1))
+		}
+		ref := refPlace(stash, leaf, height, z)
+		seen := make(map[int]bool)
+		for li := 0; li <= height; li++ {
+			level := height - li
+			got := 0
+			for _, id := range slots[li*z : (li+1)*z] {
+				if id < 0 {
+					continue
+				}
+				got++
+				e, ok := stash[id]
+				if !ok {
+					t.Fatalf("trial %d: placed id %d is not in the stash", trial, id)
+				}
+				if seen[id] {
+					t.Fatalf("trial %d: id %d placed twice", trial, id)
+				}
+				seen[id] = true
+				if !sameAncestor(e.pos, leaf, level, height) {
+					t.Fatalf("trial %d: id %d (pos %d) placed at level %d, off its path to leaf %d",
+						trial, id, e.pos, level, leaf)
+				}
+			}
+			if got != len(ref[li]) {
+				t.Fatalf("trial %d (height %d, Z %d, stash %d): level %d got %d blocks, per-level scan places %d",
+					trial, height, z, len(stash), level, got, len(ref[li]))
+			}
+		}
+	}
+}

@@ -34,9 +34,12 @@
 //     block counter instead of a crypto/rand read per block (see nextIV for
 //     the uniqueness argument). SetIVReader still overrides the source for
 //     seeded tests.
-//   - SealBatch/OpenBatch fan records across min(GOMAXPROCS, count/8)
-//     goroutines once a batch reaches batchCutover records, and run inline
-//     below it, so single-core hosts never pay the handoff.
+//   - SealBatch/OpenBatch run inline on the caller's goroutine. A sealed
+//     batch claims one counter range for all its records and draws their
+//     keystream from a single CTR stream, which takes the stdlib's
+//     pipelined multi-block AES path instead of one block call at a time.
+//     Parallelism belongs a layer up (one scheme instance per partition),
+//     where it needs no per-batch goroutine handoff.
 package crypto
 
 import (
@@ -51,7 +54,6 @@ import (
 	"fmt"
 	"hash"
 	"io"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -75,12 +77,6 @@ const (
 	// the vectorized multi-block keystream path, a 4–7× throughput win at
 	// 1 KiB and above. Scheme blocks (64–128 B) stay on the inline path.
 	ctrInline = 128
-
-	// batchCutover is the record count at which SealBatch/OpenBatch fan out
-	// to worker goroutines. Below it (and always at GOMAXPROCS = 1) the
-	// batch runs inline: the goroutine handoff costs more than sealing a
-	// handful of small blocks.
-	batchCutover = 16
 )
 
 // ErrAuth reports a ciphertext whose MAC did not verify.
@@ -120,15 +116,16 @@ func derive(k Key, label string) []byte {
 // macState is the pooled per-goroutine working set of one seal/open: a
 // pre-keyed HMAC (Reset restores the cached pads without re-deriving them)
 // plus fixed scratch for the tag, the CTR counter block, the inline
-// keystream, and integer PRF inputs. The scratch lives here rather than on
+// keystream and integer PRF inputs. The scratch lives here rather than on
 // the stack because it is passed through hash.Hash/cipher.Block interface
 // calls, which would otherwise force a heap escape per call.
 type macState struct {
-	mac hash.Hash
-	sum [macSize]byte
-	ctr [aes.BlockSize]byte
-	ks  [ctrInline]byte
-	num [8]byte
+	mac   hash.Hash
+	sum   [macSize]byte
+	ctr   [aes.BlockSize]byte
+	ks    [ctrInline]byte
+	num   [8]byte
+	runKS []byte // a sealed batch's keystream (sealRun), grown on demand
 }
 
 // Cipher is the (Enc, Dec) pair of Section 6. The key schedule and MAC pads
@@ -171,9 +168,9 @@ func NewCipher(k Key) *Cipher {
 
 // SetIVReader replaces the IV source with raw 16-byte reads from r. Only
 // tests should call it: it trades the counter's uniqueness guarantee for
-// reproducibility. While set, batch kernels run serially so IVs are drawn
-// in record order, and a read failure panics (a misconfigured test, not a
-// runtime condition).
+// reproducibility. While set, SealBatch draws one IV per record in record
+// order, exactly as sequential EncryptInto calls would, and a read failure
+// panics (a misconfigured test, not a runtime condition).
 func (c *Cipher) SetIVReader(r io.Reader) { c.ivOverride = r }
 
 // CiphertextSize returns the ciphertext length for a plaintext of the given
@@ -197,13 +194,20 @@ func (c *Cipher) nextIV(iv []byte, n int) {
 		}
 		return
 	}
-	nb := uint64(n+aes.BlockSize-1) / aes.BlockSize
-	if nb == 0 {
-		nb = 1
-	}
-	start := c.ivCtr.Add(nb) - nb
+	nb := ctrBlocks(n)
+	c.putIV(iv, c.ivCtr.Add(nb)-nb)
+}
+
+// ctrBlocks is the number of counter values a message of n plaintext bytes
+// claims: ⌈n/16⌉, min 1.
+func ctrBlocks(n int) uint64 {
+	return max(1, uint64(n+aes.BlockSize-1)/aes.BlockSize)
+}
+
+// putIV writes the counter IV prefix ‖ ctr into iv[:ivSize].
+func (c *Cipher) putIV(iv []byte, ctr uint64) {
 	binary.BigEndian.PutUint64(iv[:8], c.ivPrefix)
-	binary.BigEndian.PutUint64(iv[8:ivSize], start)
+	binary.BigEndian.PutUint64(iv[8:ivSize], ctr)
 }
 
 // ctrXOR applies the CTR keystream for iv to src, writing into dst
@@ -239,9 +243,15 @@ func (c *Cipher) sealTo(st *macState, out, pt []byte) {
 	n := len(pt)
 	c.nextIV(out[:ivSize], n)
 	c.ctrXOR(st, out[:ivSize], out[ivSize:ivSize+n], pt)
+	tagTo(st, out, n)
+}
+
+// tagTo appends HMAC(iv‖ct) in place after the n-byte payload of out,
+// which must have the capacity for it.
+func tagTo(st *macState, out []byte, n int) {
 	st.mac.Reset()
 	st.mac.Write(out[:ivSize+n])
-	st.mac.Sum(out[:ivSize+n]) // appends the tag in place; out has capacity
+	st.mac.Sum(out[:ivSize+n])
 }
 
 // openTo verifies ct and decrypts its payload into dst, which must be
@@ -311,29 +321,12 @@ func (c *Cipher) Decrypt(ct []byte) ([]byte, error) {
 	return out, nil
 }
 
-// batchWorkers decides the fan-out for a batch of count records. Sealing
-// under an IV override always runs inline so the override reader sees one
-// draw per record in record order.
-func (c *Cipher) batchWorkers(count int, sealing bool) int {
-	if count < batchCutover || (sealing && c.ivOverride != nil) {
-		return 1
-	}
-	w := runtime.GOMAXPROCS(0)
-	if lim := count / (batchCutover / 2); w > lim {
-		w = lim // at least ~8 records per worker
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // SealBatch encrypts count records of recSize bytes laid out contiguously
 // in src (len(src) == count·recSize) and appends their ciphertexts to dst,
-// contiguous in record order. Records are sealed independently — the result
-// is byte-identical to count EncryptInto calls in order when the IV source
-// is overridden, and IV-unique regardless. Batches of batchCutover or more
-// records fan out across up to GOMAXPROCS workers.
+// contiguous in record order. Each record is an independent ciphertext
+// that opens on its own through DecryptInto; under counter IVs the batch
+// claims the same counter range count sequential EncryptInto calls would
+// (see sealRun), and under an IV override it is byte-identical to them.
 func (c *Cipher) SealBatch(dst, src []byte, count, recSize int) []byte {
 	if count < 0 || recSize < 0 || count*recSize != len(src) {
 		panic(fmt.Sprintf("crypto: SealBatch of %d×%d over %d bytes", count, recSize, len(src)))
@@ -346,40 +339,53 @@ func (c *Cipher) SealBatch(dst, src []byte, count, recSize int) []byte {
 	n := len(dst)
 	dst = slices.Grow(dst, count*ctSize)[:n+count*ctSize]
 	out := dst[n:]
-	workers := c.batchWorkers(count, true)
-	if workers == 1 {
-		st := c.states.Get().(*macState)
+	st := c.states.Get().(*macState)
+	if c.ivOverride != nil {
 		for k := 0; k < count; k++ {
 			c.sealTo(st, out[k*ctSize:(k+1)*ctSize], src[k*recSize:(k+1)*recSize])
 		}
-		c.states.Put(st)
-		return dst
+	} else {
+		c.sealRun(st, out, src, count, recSize)
 	}
-	var wg sync.WaitGroup
-	chunk := (count + workers - 1) / workers
-	for lo := 0; lo < count; lo += chunk {
-		hi := lo + chunk
-		if hi > count {
-			hi = count
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			st := c.states.Get().(*macState)
-			for k := lo; k < hi; k++ {
-				c.sealTo(st, out[k*ctSize:(k+1)*ctSize], src[k*recSize:(k+1)*recSize])
-			}
-			c.states.Put(st)
-		}(lo, hi)
-	}
-	wg.Wait()
+	c.states.Put(st)
 	return dst
 }
 
+// sealRun seals a batch under counter IVs with one atomic claim of count·nb
+// counter values, nb = ctrBlocks(recSize): record k gets IV
+// prefix ‖ start+k·nb. The records' keystream ranges are therefore
+// contiguous, so one CTR stream from prefix ‖ start produces all of them
+// (record k's are the nb·16 bytes at offset k·nb·16) — exactly what
+// DecryptInto re-derives from each record's IV. As in nextIV, a 64-bit
+// counter wrap inside a batch would need 2⁶⁴ keystream blocks through one
+// instance.
+func (c *Cipher) sealRun(st *macState, out, src []byte, count, recSize int) {
+	nb := ctrBlocks(recSize)
+	stride := int(nb) * aes.BlockSize
+	total := uint64(count) * nb
+	start := c.ivCtr.Add(total) - total
+	if cap(st.runKS) < count*stride {
+		st.runKS = make([]byte, count*stride)
+	}
+	ks := st.runKS[:count*stride]
+	clear(ks)
+	c.putIV(st.ctr[:], start)
+	cipher.NewCTR(c.block, st.ctr[:]).XORKeyStream(ks, ks)
+	ctSize := CiphertextSize(recSize)
+	for k := 0; k < count; k++ {
+		rec := out[k*ctSize : (k+1)*ctSize]
+		c.putIV(rec, start+uint64(k)*nb)
+		subtle.XORBytes(rec[ivSize:ivSize+recSize], src[k*recSize:(k+1)*recSize], ks[k*stride:])
+		tagTo(st, rec, recSize)
+	}
+}
+
 // OpenBatch verifies and decrypts a batch of equal-length ciphertexts,
-// appending the plaintexts to dst contiguous in record order. On failure
-// dst is returned at its original length and the error names the
-// lowest-index bad record (deterministic even under the parallel path).
+// appending the plaintexts to dst contiguous in record order. Records are
+// opened in order, each MAC checked before its payload is decrypted. On
+// failure dst is returned at its original length — no plaintext is handed
+// back unless every record verified — and the error names the first (so
+// lowest-index) bad record.
 func (c *Cipher) OpenBatch(dst []byte, cts [][]byte) ([]byte, error) {
 	count := len(cts)
 	if count == 0 {
@@ -399,53 +405,12 @@ func (c *Cipher) OpenBatch(dst []byte, cts [][]byte) ([]byte, error) {
 	n := len(dst)
 	grown := slices.Grow(dst, count*pn)[:n+count*pn]
 	out := grown[n:]
-	workers := c.batchWorkers(count, false)
-	if workers == 1 {
-		st := c.states.Get().(*macState)
-		for k := 0; k < count; k++ {
-			if err := c.openTo(st, out[k*pn:(k+1)*pn], cts[k]); err != nil {
-				c.states.Put(st)
-				return dst, fmt.Errorf("crypto: batch record %d: %w", k, err)
-			}
+	st := c.states.Get().(*macState)
+	defer c.states.Put(st)
+	for k := 0; k < count; k++ {
+		if err := c.openTo(st, out[k*pn:(k+1)*pn], cts[k]); err != nil {
+			return dst, fmt.Errorf("crypto: batch record %d: %w", k, err)
 		}
-		c.states.Put(st)
-		return grown, nil
-	}
-	chunk := (count + workers - 1) / workers
-	errIdx := make([]int, 0, workers)
-	errs := make([]error, 0, workers)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for lo := 0; lo < count; lo += chunk {
-		hi := lo + chunk
-		if hi > count {
-			hi = count
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			st := c.states.Get().(*macState)
-			for k := lo; k < hi; k++ {
-				if err := c.openTo(st, out[k*pn:(k+1)*pn], cts[k]); err != nil {
-					mu.Lock()
-					errIdx = append(errIdx, k)
-					errs = append(errs, err)
-					mu.Unlock()
-					break // later records in this chunk can't lower the index
-				}
-			}
-			c.states.Put(st)
-		}(lo, hi)
-	}
-	wg.Wait()
-	if len(errs) > 0 {
-		first := 0
-		for i := range errIdx {
-			if errIdx[i] < errIdx[first] {
-				first = i
-			}
-		}
-		return dst, fmt.Errorf("crypto: batch record %d: %w", errIdx[first], errs[first])
 	}
 	return grown, nil
 }

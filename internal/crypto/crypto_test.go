@@ -2,11 +2,13 @@ package crypto
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"io"
-	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -221,6 +223,81 @@ func TestCounterIVUniqueness(t *testing.T) {
 		}
 		next += nb
 	}
+
+	// Concurrent mix: SealBatch claims its whole batch's range with one
+	// add, EncryptInto one message's; interleaved from several goroutines,
+	// no two ranges may overlap.
+	type span struct{ lo, hi uint64 } // counter values [lo, hi)
+	const workers, rounds = 4, 300
+	spans := make([][]span, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var buf []byte
+			for r := 0; r < rounds; r++ {
+				if (w+r)%2 == 0 {
+					const count, rec = 7, 40 // 3 counter values a record
+					ctSize := CiphertextSize(rec)
+					buf = c.SealBatch(buf[:0], make([]byte, count*rec), count, rec)
+					for k := 0; k < count; k++ {
+						lo := binary.BigEndian.Uint64(buf[k*ctSize+8:])
+						spans[w] = append(spans[w], span{lo, lo + 3})
+					}
+				} else {
+					buf = c.EncryptInto(buf[:0], make([]byte, 20)) // 2 counter values
+					lo := binary.BigEndian.Uint64(buf[8:16])
+					spans[w] = append(spans[w], span{lo, lo + 2})
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	all := slices.Concat(spans...)
+	slices.SortFunc(all, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	for i := 1; i < len(all); i++ {
+		if all[i].lo < all[i-1].hi {
+			t.Fatalf("counter ranges overlap: [%d,%d) and [%d,%d)", all[i-1].lo, all[i-1].hi, all[i].lo, all[i].hi)
+		}
+	}
+}
+
+func TestSealBatchCounterLayout(t *testing.T) {
+	// Under counter IVs a batch claims one contiguous range: record k's IV
+	// is prefix ‖ start+k·nb, nb = ⌈recSize/16⌉, and each record opens on
+	// its own through DecryptInto — the batch keystream is the one the
+	// per-record IV derives.
+	c := NewCipher(KeyFromSeed(30))
+	for _, rec := range []int{0, 1, 16, 76, 200} {
+		const count = 9
+		nb := uint64(max(1, (rec+15)/16))
+		src := make([]byte, count*rec)
+		for i := range src {
+			src[i] = byte(i*7 + rec)
+		}
+		sealed := c.SealBatch(nil, src, count, rec)
+		ctSize := CiphertextSize(rec)
+		prefix := binary.BigEndian.Uint64(sealed[:8])
+		start := binary.BigEndian.Uint64(sealed[8:16])
+		for k := 0; k < count; k++ {
+			ct := sealed[k*ctSize : (k+1)*ctSize]
+			if p, ctr := binary.BigEndian.Uint64(ct[:8]), binary.BigEndian.Uint64(ct[8:16]); p != prefix || ctr != start+uint64(k)*nb {
+				t.Fatalf("rec %d, record %d: IV %x‖%d, want %x‖%d", rec, k, p, ctr, prefix, start+uint64(k)*nb)
+			}
+			got, err := c.DecryptInto(nil, ct)
+			if err != nil {
+				t.Fatalf("rec %d, record %d: %v", rec, k, err)
+			}
+			if !bytes.Equal(got, src[k*rec:(k+1)*rec]) {
+				t.Fatalf("rec %d, record %d: DecryptInto does not recover the sealed plaintext", rec, k)
+			}
+		}
+		// The next message starts right after the batch's range.
+		if ctr := binary.BigEndian.Uint64(c.Encrypt(nil)[8:16]); ctr != start+count*nb {
+			t.Fatalf("rec %d: counter after the batch %d, want %d", rec, ctr, start+count*nb)
+		}
+	}
 }
 
 func TestIVPrefixRedrawnAcrossInstances(t *testing.T) {
@@ -311,15 +388,11 @@ func TestOpenBatchErrors(t *testing.T) {
 	}
 }
 
-func TestBatchKernelsParallelPath(t *testing.T) {
-	// This host may be single-core, where batches always run inline; force
-	// GOMAXPROCS up so the worker fan-out actually executes, and check both
-	// correctness and the lowest-index error contract under it.
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-
+func TestBatchKernelsLargeBatch(t *testing.T) {
+	// A batch several times a Path ORAM path: round trip, and the
+	// lowest-index error contract with more than one bad record.
 	c := NewCipher(KeyFromSeed(28))
-	const count, rec = 256, 48 // well above batchCutover
+	const count, rec = 256, 48
 	src := make([]byte, count*rec)
 	for i := range src {
 		src[i] = byte(i)
@@ -335,11 +408,10 @@ func TestBatchKernelsParallelPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(opened, src) {
-		t.Fatal("parallel SealBatch/OpenBatch round trip corrupted data")
+		t.Fatal("large SealBatch/OpenBatch round trip corrupted data")
 	}
 
-	// Tamper with two records in different worker chunks; the reported
-	// error must name the lowest index regardless of completion order.
+	// Tamper with two records; the reported error must name the lower.
 	bad := make([][]byte, count)
 	for k := range bad {
 		bad[k] = append([]byte(nil), cts[k]...)
@@ -347,7 +419,7 @@ func TestBatchKernelsParallelPath(t *testing.T) {
 	bad[40][ivSize] ^= 1
 	bad[200][ivSize] ^= 1
 	if _, err := c.OpenBatch(nil, bad); err == nil || !strings.Contains(err.Error(), "record 40") {
-		t.Fatalf("parallel OpenBatch error: got %v, want lowest-index record 40", err)
+		t.Fatalf("large OpenBatch error: got %v, want lowest-index record 40", err)
 	}
 }
 

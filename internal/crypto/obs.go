@@ -7,7 +7,8 @@ import "dpstore/internal/obs"
 // tree height, eviction rate), never from which record is accessed — the
 // transcript-shape regressions pin exactly this, so the histograms add
 // observability without adding leakage. One atomic record per batch; the
-// per-record seal/open loops stay untouched (and 0 allocs/op, CI-gated).
+// per-record seal/open loops stay untouched (their allocation budgets are
+// CI-gated).
 var (
 	obsSealBatch = obs.NewHist("dpstore_crypto_seal_batch_records",
 		obs.WithHelp("records sealed per SealBatch call"))

@@ -66,7 +66,7 @@ type limiter struct {
 	inflight atomic.Int64
 	ewmaNs   atomic.Int64 // EWMA of admitted-request service time
 
-	service   stats.AtomicHist // admit → release (execute + flush), ns
+	service   stats.AtomicHist // admit → release (execute + build the response; not the socket write), ns
 	queueWait stats.AtomicHist // time spent waiting for a slot, ns
 
 	obsAccepted  *obs.Counter
@@ -100,8 +100,8 @@ func newLimiter(name string, opts AdmitOptions) *limiter {
 // measured. ok=false means the request was shed: the caller must answer
 // with a busy frame built from retryAfter and depth and MUST NOT execute
 // the request. ok=true obliges the caller to invoke release(start)
-// exactly once after the response has been written, where start is the
-// slot-grant time admit returned. No closure is minted — the serve
+// exactly once, after the response is built and before it is written,
+// where start is the slot-grant time admit returned. No closure is minted — the serve
 // loop's steady state stays allocation-free.
 func (l *limiter) admit(arrival time.Time) (start time.Time, ok bool, retryAfter time.Duration, depth int) {
 	if l.tokens == nil {

@@ -566,16 +566,21 @@ func serveConn(conn net.Conn, ns *Namespaces) {
 		// decode from cs.readBuf, which the next ReadFrameInto reuses, so
 		// each request must be fully handled (response built or frame
 		// encoded) before the next iteration — they are.
+		//
+		// An admitted request is released — its slot returned and the
+		// request counted — as soon as its response is built and before
+		// the write: a client that already holds its reply must never find
+		// its own slot still taken or its request not yet counted.
 		if raw, handled := handleBatch(req, cur, cs); handled {
-			_, err := w.Write(raw)
-			if err == nil {
-				err = w.Flush()
-			}
 			if admitted {
 				svc := lim.release(svcStart)
 				if sl.Enabled() {
 					observeSlow(sl, arrival, curName, req.Type, svc)
 				}
+			}
+			_, err := w.Write(raw)
+			if err == nil {
+				err = w.Flush()
 			}
 			if err != nil {
 				return
@@ -599,15 +604,15 @@ func serveConn(conn net.Conn, ns *Namespaces) {
 		default:
 			resp = handle(req, cur.batch, epoch)
 		}
-		err = wire.WriteFrame(w, resp)
-		if err == nil {
-			err = w.Flush()
-		}
 		if admitted {
 			svc := lim.release(svcStart)
 			if sl.Enabled() {
 				observeSlow(sl, arrival, curName, req.Type, svc)
 			}
+		}
+		err = wire.WriteFrame(w, resp)
+		if err == nil {
+			err = w.Flush()
 		}
 		if err != nil {
 			return
